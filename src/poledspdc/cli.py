@@ -6,8 +6,9 @@ win); each run writes its data as CSV with a '#'-metadata header, a JSON
 sidecar of the resolved configuration, and a rerunnable resolved INI.
 The output directory resolves flag > POLEDSPDC_OUTDIR > config > cwd.
 
-Exit codes: 0 success, 2 configuration/usage errors, 3 numerical-domain or
-wavelength-range errors.
+Exit codes: 0 success, 2 configuration/usage errors and unusable paths
+(any OSError), 3 numerical-domain or wavelength-range errors and failed
+ensemble realizations.
 """
 
 from __future__ import annotations
@@ -557,6 +558,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ensemble.RealizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

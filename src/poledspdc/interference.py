@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.integrate import trapezoid
 
 from . import phasematch, spectra
@@ -98,24 +99,65 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _uniform_axis(x: np.ndarray, label: str) -> tuple:
+    """Start and step of an evenly spaced axis; ValueError otherwise.
+
+    Every sample must lie within 1e-9 of a step of the straight line through
+    the end points: that admits the roundoff of arange- or linspace-built
+    axes, and the chirp-z transform treats the axis as exactly uniform.
+    """
+    if x.size < 2:
+        return (float(x[0]) if x.size else 0.0), 0.0
+    step = (x[-1] - x[0]) / (x.size - 1)
+    line = x[0] + np.arange(x.size) * step
+    if np.max(np.abs(x - line)) > 1e-9 * abs(step):
+        raise ValueError(f"{label} must be evenly spaced")
+    return float(x[0]), float(step)
+
+
+def _chirp_z(values: np.ndarray, omega0: float, d_omega: float,
+             tau0: float, d_tau: float, m: int) -> np.ndarray:
+    """X_j = sum_k v_k exp(-i (tau0 + j d_tau)(omega0 + k d_omega)), j < m.
+
+    Bluestein's form: with jk = (j^2 + k^2 - (j - k)^2) / 2 the sum becomes
+    a convolution with the chirp exp(i a n^2 / 2), a = d_tau d_omega, done
+    by three FFTs in O((N + M) log(N + M)) time and O(N + M) memory.  The
+    chirp is built from integer squares, exact in float64.
+    """
+    n = values.size
+    a = d_tau * d_omega
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * a * k * k)
+    size = sp_fft.next_fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[1:n][::-1].conj()
+    u = values * np.exp(-1j * tau0 * d_omega * k[:n]) * chirp[:n]
+    conv = sp_fft.ifft(sp_fft.fft(u, size) * sp_fft.fft(kernel))[:m]
+    return np.exp(-1j * (tau0 + k[:m] * d_tau) * omega0) * chirp[:m] * conv
+
+
 def hom_trace(mean_abs_f_sq: np.ndarray, grid: SpectralGrid, pump: PumpSpec,
               delays: np.ndarray = None) -> HomTrace:
     """Coincidence-rate trace from <|F|^2> sampled on the grid.
 
     Works identically for concrete stacks and ensemble averages; two sources
-    with the same <|F|^2> produce the same trace.
+    with the same <|F|^2> produce the same trace.  The grid and the delays
+    must be evenly spaced: the trace is one chirp-z transform.
     """
     curve = np.asarray(mean_abs_f_sq, dtype=float)
     if curve.size == 0 or curve.size != grid.omega.size:
         raise ValueError("mean_abs_f_sq must be sampled on the grid")
     delays = default_hom_delays() if delays is None else np.asarray(delays, dtype=float)
+    nu0, d_nu = _uniform_axis(grid.detuning, "spectral grid")
+    tau0, d_tau = _uniform_axis(delays, "delays")
     weights = _trapezoid_weights(grid.omega)
     baseline = float(np.dot(weights, curve))
     if baseline <= 0.0:
         raise ValueError("zero baseline: <|F|^2> integrates to zero")
     # e^(i w_p tau) e^(-2 i w tau) = e^(-2 i (w - w_p/2) tau)
-    phases = np.cos(2.0 * np.outer(delays, grid.detuning))
-    rates = 1.0 - (phases @ (weights * curve)) / baseline
+    transform = _chirp_z(weights * curve, nu0, d_nu, 2.0 * tau0, 2.0 * d_tau, delays.size)
+    rates = 1.0 - transform.real / baseline
     return HomTrace(delays, rates, baseline)
 
 
@@ -178,17 +220,16 @@ def sum_frequency_trace(amplitude: TwoPhotonAmplitude, delays: np.ndarray = None
     """Unit-area sum-frequency intensity |Int dw Phi(w) e^(-i w tau)|^2.
 
     With delays=None the delay axis comes from an FFT of the spectral grid,
-    zero-padded by pad_factor for sub-step delay resolution; an explicit
-    delay list is evaluated by direct transform.
+    zero-padded by pad_factor for sub-step delay resolution; explicit,
+    evenly spaced delays are evaluated by chirp-z transform.
     """
-    dw = np.diff(amplitude.grid.omega)
-    if not np.allclose(dw, dw[0], rtol=1e-9):
-        raise ValueError("sum_frequency_trace requires a uniform grid")
+    nu0, d_nu = _uniform_axis(amplitude.grid.detuning, "spectral grid")
     step = amplitude.grid.step
     if delays is not None:
         delays = np.asarray(delays, dtype=float)
-        kernel = np.exp(-1j * np.outer(delays, amplitude.grid.detuning))
-        intensity = np.abs(step * (kernel @ amplitude.values)) ** 2
+        tau0, d_tau = _uniform_axis(delays, "delays")
+        transform = _chirp_z(amplitude.values, nu0, d_nu, tau0, d_tau, delays.size)
+        intensity = np.abs(step * transform) ** 2
     else:
         n = amplitude.values.size * pad_factor
         transform = np.fft.fft(amplitude.values, n)

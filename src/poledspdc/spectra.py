@@ -113,7 +113,13 @@ def symmetric_grid(omega_p0: float,
                    n_samples: int = DEFAULT_SAMPLES,
                    model: DispersionModel = None) -> SpectralGrid:
     """Grid covering the signal window [lambda_min, lambda_max] and its
-    energy-conservation mirror, symmetric about omega_p/2."""
+    energy-conservation mirror, symmetric about omega_p/2.
+
+    The half-width is set by whichever edge lies farther from omega_p/2, so
+    lambda_max can only widen the window: when the mirror of lambda_min lies
+    beyond it, lambda_max has no effect.  At the 775 nm pump the default
+    window (1.0, 2.6) um gives a grid spanning 1.0-3.44 um.
+    """
     if lambda_min >= lambda_max:
         raise ValueError("lambda_min must be below lambda_max")
     if n_samples < 4:

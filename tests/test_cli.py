@@ -181,6 +181,22 @@ class TestHomSumfreqMc:
             _, columns = read_csv(tmp_path / "sumfreq.csv")
             assert trapezoid(columns["isum"], columns["tau_s"]) == pytest.approx(1.0, rel=1e-6)
 
+    def test_unusable_outdir_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        code = main(["hom", "--outdir", str(blocker / "out"), *FAST])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_failed_realization_is_numeric_error(self, tmp_path, capsys):
+        # a negative sigma is rejected inside each realization's stack builder
+        code = main(["mc", "--outdir", str(tmp_path), "--observable", "pair_rate",
+                     *FAST, "--sigma=-1e-6"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: realization 0")
+
     def test_mc_convergence_report(self, tmp_path, capsys):
         code = main(["mc", "--outdir", str(tmp_path), "--observable", "pair_rate",
                      *FAST, "--convergence"])

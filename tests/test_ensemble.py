@@ -117,6 +117,16 @@ class TestRunEnsemble:
         mid = delays.size // 2
         assert est.mean[mid] == pytest.approx(0.0, abs=1e-10)
 
+    def test_hom_observable_bit_reproducible_across_worker_counts(self, model, pump,
+                                                                  grid_small, l0):
+        import poledspdc.interference as interference
+        delays = interference.default_hom_delays(span=50e-15, step=1e-15)
+        spec = EnsembleSpec(n_realizations=8, base_seed=5, n_domains=200, sigma=2e-6, l0=l0)
+        one, two = (run_ensemble(spec, "hom", model=model, grid=grid_small, pump=pump,
+                                 delays=delays, n_workers=w) for w in (1, 2))
+        assert np.array_equal(one.mean, two.mean)
+        assert np.array_equal(one.stderr, two.stderr)
+
     def test_rate_scaling_with_domain_count(self, model, pump, grid_small, l0, dk0):
         # mean pair rate grows linearly in the domain count
         from poledspdc import mismatch_from_detuning

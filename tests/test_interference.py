@@ -22,7 +22,35 @@ from poledspdc import (
     two_photon_amplitude,
 )
 from poledspdc.interference import fft_delay_axis
-from poledspdc.spectra import mismatch_on_grid
+from poledspdc.spectra import mismatch_on_grid, symmetric_grid
+
+# Delay rows per block of the dense oracles: 100 x 2^14 complex is 26 MB.
+ORACLE_BLOCK = 100
+
+
+def dense_hom_rates(curve, grid, delays):
+    """Oracle: the coincidence trace from a delays x frequency cosine matrix."""
+    baseline = trapezoid(curve, grid.omega)
+    return np.concatenate([
+        1.0 - trapezoid(np.cos(2.0 * np.outer(block, grid.detuning)) * curve,
+                        grid.omega, axis=1) / baseline
+        for block in np.array_split(delays, max(1, delays.size // ORACLE_BLOCK))
+    ])
+
+
+def dense_sum_frequency(values, grid, delays):
+    """Oracle: unit-area sum-frequency intensity from a delays x frequency
+    matrix of complex exponentials."""
+    raw = np.concatenate([
+        np.abs(grid.step * (np.exp(-1j * np.outer(block, grid.detuning)) @ values)) ** 2
+        for block in np.array_split(delays, max(1, delays.size // ORACLE_BLOCK))
+    ])
+    return raw / trapezoid(raw, delays)
+
+
+@pytest.fixture(scope="module")
+def grid_default(model, pump):
+    return symmetric_grid(pump.omega_p0, model=model)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +97,24 @@ class TestHomTrace:
         a = hom_trace(curve, grid_mid, pump)
         b = hom_trace(curve.copy(), grid_mid, pump)
         assert np.array_equal(a.rates, b.rates)
+
+    @pytest.mark.parametrize("delays", [default_hom_delays(), np.array([0.0]),
+                                        np.array([-200e-15, 200e-15])],
+                             ids=["default", "zero", "pm200fs"])
+    def test_chirp_z_matches_dense_oracle(self, model, pump, grid_default, delays):
+        curve = mean_abs_f_sq(grid_default, pump, model,
+                              RandomEnsembleSource(n_domains=2000, sigma=2.5e-6))
+        trace = hom_trace(curve, grid_default, pump, delays)
+        assert np.max(np.abs(trace.rates - dense_hom_rates(curve, grid_default, delays))) <= 1e-10
+        zero = np.flatnonzero(delays == 0.0)
+        assert np.all(np.abs(trace.rates[zero]) <= 1e-12)
+
+    def test_nonuniform_grid_rejected(self, pump, grid_small):
+        omega = grid_small.omega.copy()
+        omega[3] *= 1.0001
+        bad_grid = type(grid_small)(omega, grid_small.step, grid_small.center)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            hom_trace(np.ones(omega.size), bad_grid, pump)
 
     def test_zero_curve_rejected(self, model, pump, grid_mid):
         with pytest.raises(ValueError):
@@ -225,14 +271,35 @@ class TestSumFrequencyTrace:
             widths.append(trace_fwhm(trace.delays, trace.intensity))
         assert abs(widths[1] - widths[0]) / widths[0] < 0.01
 
+    @pytest.mark.parametrize("kind", ["random", "chirped"])
+    @pytest.mark.parametrize("delays", [default_hom_delays(), np.array([-200e-15, 200e-15])],
+                             ids=["default", "pm200fs"])
+    def test_chirp_z_matches_dense_oracle(self, model, pump, grid_default, l0, kind, delays):
+        stack = (build_random(300, l0, 2.5e-6, seed=4) if kind == "random"
+                 else build_chirped(300, l0, 1e6, np.pi / l0))
+        amplitude = two_photon_amplitude(stack, grid_default, pump, model)
+        trace = sum_frequency_trace(amplitude, delays=delays)
+        expected = dense_sum_frequency(amplitude.values, grid_default, delays)
+        assert np.max(np.abs(trace.intensity - expected)) <= 1e-10 * expected.max()
+
     def test_nonuniform_grid_rejected(self, grid_small):
         omega = grid_small.omega.copy()
         omega[3] *= 1.0001
         bad_grid = type(grid_small)(omega, grid_small.step, grid_small.center)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="evenly spaced"):
             sum_frequency_trace(TwoPhotonAmplitude(bad_grid, np.ones(omega.size, complex)))
 
     def test_fft_delay_axis_matches_trace(self, grid_small):
         values = np.ones(grid_small.omega.size, dtype=complex)
         trace = sum_frequency_trace(TwoPhotonAmplitude(grid_small, values))
         assert np.array_equal(fft_delay_axis(grid_small), trace.delays)
+
+
+def test_nonuniform_delays_rejected_by_both_traces(pump, grid_small):
+    delays = default_hom_delays(span=20e-15, step=1e-15)
+    delays[5] += 0.1e-15
+    with pytest.raises(ValueError, match="delays must be evenly spaced"):
+        hom_trace(np.ones(grid_small.omega.size), grid_small, pump, delays)
+    amplitude = TwoPhotonAmplitude(grid_small, np.ones(grid_small.omega.size, complex))
+    with pytest.raises(ValueError, match="delays must be evenly spaced"):
+        sum_frequency_trace(amplitude, delays=delays)

@@ -46,6 +46,14 @@ class TestGrid:
         assert lam.min() <= 1.0e-6 + 1e-12
         assert lam.max() >= 2.6e-6 - 1e-12
 
+    def test_lambda_max_only_widens_the_window(self, model, pump):
+        # the mirror of 1.0 um about the 775 nm pump lies at 3.44 um, beyond
+        # the default 2.6 um edge, so that edge sets nothing
+        grid = symmetric_grid(pump.omega_p0, model=model)
+        assert grid.wavelengths[[0, -1]] == pytest.approx([3.444e-6, 1.0e-6], rel=1e-3)
+        narrower = symmetric_grid(pump.omega_p0, 1.0e-6, 2.0e-6, model=model)
+        assert np.array_equal(narrower.omega, grid.omega)
+
     def test_rejects_window_outside_dispersion_range(self, model, pump):
         with pytest.raises(WavelengthRangeError):
             symmetric_grid(pump.omega_p0, 0.80e-6, 2.6e-6, 256, model=model)
