@@ -227,6 +227,8 @@ def sum_frequency_trace(amplitude: TwoPhotonAmplitude, delays: np.ndarray = None
     step = amplitude.grid.step
     if delays is not None:
         delays = np.asarray(delays, dtype=float)
+        if delays.size < 2:
+            raise ValueError("unit-area normalization needs at least two delays")
         tau0, d_tau = _uniform_axis(delays, "delays")
         transform = _chirp_z(amplitude.values, nu0, d_nu, tau0, d_tau, delays.size)
         intensity = np.abs(step * transform) ** 2

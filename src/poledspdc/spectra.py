@@ -372,10 +372,6 @@ def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,
     random_rate = integrated_density(spectral_density(
         grid, pump, model, RandomEnsembleSource(n_domains=n_domains, sigma=sigma)))
     l0 = base_domain_length(model, pump.omega_p0)
-    if zeta == 0.0:
-        chirp_stack = structure.build_periodic(n_domains, l0)
-    else:
-        chirp_stack = structure.build_chirped(n_domains, l0, zeta,
-                                              np.pi / l0)
+    chirp_stack = structure.build_chirped(n_domains, l0, zeta, np.pi / l0)
     chirped_rate = integrated_density(spectral_density(grid, pump, model, chirp_stack))
     return random_rate / chirped_rate

@@ -1,13 +1,26 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 from scipy.integrate import trapezoid
 
-from poledspdc.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from poledspdc import __version__, ensemble
+from poledspdc.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    RunConfig,
+    _context,
+    _resolve,
+    build_parser,
+    load_config,
+    main,
+    write_resolved_config,
+)
 
 FAST = [
     "--n-samples", "1024",
@@ -28,6 +41,16 @@ def read_csv(path):
             rows.append([float(v) for v in line.split(",")])
     data = np.asarray(rows)
     return meta, {name: data[:, i] for i, name in enumerate(header)}
+
+
+# Every field away from its default; the computed floats need long reprs to round-trip.
+NON_DEFAULT = RunConfig(
+    sellmeier="2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0", temperature_k=931.0 / 3,
+    pump_wavelength_m=0.1 * 7.7e-6, pump_power_w=0.1 + 0.2, kind="chirped", n_domains=777,
+    l0_m=9.4 * 1.1e-6, sigma_m=1.7e-6 / 3, zeta_per_m2=3.3e5, seed=99, lambda_min_m=1.1e-6,
+    lambda_max_m=2.2e-6 / 3, n_samples=4096, n_realizations=17, base_seed=5,
+    directory="some/dir", threads=3,
+)
 
 
 def csv_body(path):
@@ -57,6 +80,47 @@ class TestL0:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "l0" in result.stdout
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("l0_m", [NON_DEFAULT.l0_m, None], ids=["l0_set", "l0_derived"])
+    def test_resolved_config_round_trips_exactly(self, tmp_path, l0_m):
+        config = replace(NON_DEFAULT, l0_m=l0_m)
+        for f in fields(RunConfig):
+            if f.name != "l0_m" or l0_m is not None:
+                assert getattr(config, f.name) != f.default, f.name
+        write_resolved_config(config, tmp_path / "run.ini")
+        assert load_config(tmp_path / "run.ini") == config
+
+    def test_common_flags_are_unchanged(self):
+        subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+        shared = set.intersection(*(
+            {s for action in p._actions for s in action.option_strings}
+            for p in subparsers.choices.values()
+        ))
+        assert shared - {"-h", "--help"} == {
+            "--config", "--outdir", "--threads", "--sellmeier", "--temperature-k",
+            "--pump-wavelength", "--power", "--kind", "--n-domains", "--l0", "--sigma",
+            "--zeta", "--seed", "--lambda-min", "--lambda-max", "--n-samples",
+            "--n-realizations", "--base-seed",
+        }
+
+    def test_each_flag_sets_its_field(self, monkeypatch):
+        monkeypatch.delenv("POLEDSPDC_OUTDIR", raising=False)
+        flagged = [f for f in fields(RunConfig) if f.metadata["flag"]]
+        assert len(flagged) == 16
+        for f in flagged:
+            value = getattr(NON_DEFAULT, f.name)
+            args = build_parser().parse_args(["spectrum", f.metadata["flag"], str(value)])
+            resolved = _resolve(args)
+            assert resolved == RunConfig(**{f.name: value}), f.name
+            assert type(getattr(resolved, f.name)) is type(value), f.name
+
+    def test_config_file_kind_outside_flag_choices_is_config_error(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[structure]\nkind = ensemble\n")
+        code = main(["spectrum", "--config", str(config), "--outdir", str(tmp_path), *FAST])
+        assert code == EXIT_CONFIG
 
 
 class TestSpectrumCommand:
@@ -153,11 +217,12 @@ class TestFig4:
                      "--n-domains", "500", "--n-realizations", "4",
                      "--delay-span", "100e-15", "--delay-step", "1e-15"])
         assert code == EXIT_OK
-        _, hom = read_csv(tmp_path / "fig4_hom.csv")
+        hom_meta, hom = read_csv(tmp_path / "fig4_hom.csv")
         mid = hom["tau_s"].size // 2
         for name in ("rn_realization", "rn_chirped", "rn_ensemble"):
             assert abs(hom[name][mid]) < 1e-10
-        _, sumfreq = read_csv(tmp_path / "fig4_sumfreq.csv")
+        sumfreq_meta, sumfreq = read_csv(tmp_path / "fig4_sumfreq.csv")
+        assert hom_meta["tool_version"] == sumfreq_meta["tool_version"] == __version__
         tau = sumfreq["tau_s"]
         for name in ("isum_realization_ideal", "isum_realization_quadratic",
                      "isum_chirped_ideal", "isum_chirped_quadratic",
@@ -205,6 +270,38 @@ class TestHomSumfreqMc:
         meta, columns = read_csv(tmp_path / "mc.csv")
         assert meta["observable"] == "pair_rate"
         assert "converged" in meta
+
+    def test_mc_convergence_reuses_the_base_ensemble(self, tmp_path, monkeypatch):
+        run_ensemble = ensemble.run_ensemble
+        calls = []
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.n_realizations)
+            return run_ensemble(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_ensemble", counting)
+        assert main(["mc", "--outdir", str(tmp_path / "conv"), "--observable", "pair_rate",
+                     *FAST, "--convergence"]) == EXIT_OK
+        assert calls == [6, 12, 24]
+        monkeypatch.setattr(ensemble, "run_ensemble", run_ensemble)
+        assert main(["mc", "--outdir", str(tmp_path / "plain"), "--observable", "pair_rate",
+                     *FAST]) == EXIT_OK
+        # the report equals the one from three standalone ensembles
+        args = build_parser().parse_args(
+            ["mc", "--config", str(tmp_path / "plain" / "mc_config.ini")])
+        ctx = _context(args)
+        report = ensemble.convergence_report([
+            ensemble.run_ensemble(
+                ensemble.EnsembleSpec(m, ctx.config.base_seed, ctx.config.n_domains,
+                                      ctx.config.sigma_m, ctx.l0),
+                "pair_rate", model=ctx.model, grid=ctx.grid, pump=ctx.pump)
+            for m in (6, 12, 24)
+        ])
+        meta, _ = read_csv(tmp_path / "conv" / "mc.csv")
+        assert meta["convergence_sizes"] == "6,12,24"
+        assert meta["stderr_exponent"] == str(report.stderr_exponent)
+        assert meta["converged"] == str(report.converged)
+        assert csv_body(tmp_path / "conv" / "mc.csv") == csv_body(tmp_path / "plain" / "mc.csv")
 
     def test_mc_spectrum_columns(self, tmp_path):
         code = main(["mc", "--outdir", str(tmp_path), "--observable", "spectrum", *FAST])

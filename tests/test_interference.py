@@ -289,6 +289,12 @@ class TestSumFrequencyTrace:
         with pytest.raises(ValueError, match="evenly spaced"):
             sum_frequency_trace(TwoPhotonAmplitude(bad_grid, np.ones(omega.size, complex)))
 
+    def test_single_delay_rejected_before_normalizing(self, grid_small):
+        # a trapezoid over one delay is zero however bright the trace is
+        amplitude = TwoPhotonAmplitude(grid_small, np.ones(grid_small.omega.size, complex))
+        with pytest.raises(ValueError, match="at least two delays"):
+            sum_frequency_trace(amplitude, delays=[0.0])
+
     def test_fft_delay_axis_matches_trace(self, grid_small):
         values = np.ones(grid_small.omega.size, dtype=complex)
         trace = sum_frequency_trace(TwoPhotonAmplitude(grid_small, values))

@@ -283,6 +283,17 @@ class TestRateRatio:
         r2 = rate_ratio(5e5, 2000, model, grid_mid, pump_2, sigma=sigma)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
+    def test_zero_chirp_is_the_periodic_rate(self, model, pump, grid_mid, l0):
+        # zeta = 0 takes the general chirped path, which must land on the
+        # periodic stack bit for bit
+        sigma = 2.3e-6
+        random_rate = integrated_density(spectral_density(
+            grid_mid, pump, model, RandomEnsembleSource(n_domains=2000, sigma=sigma)))
+        periodic_rate = integrated_density(spectral_density(
+            grid_mid, pump, model, build_periodic(2000, l0)))
+        ratio = rate_ratio(0.0, 2000, model, grid_mid, pump, sigma=sigma)
+        assert ratio == random_rate / periodic_rate
+
 
 class TestGridRefinement:
     def test_rate_and_width_drift_below_half_percent(self, model, pump):
