@@ -62,7 +62,7 @@ class RunConfig:
     """Fully resolved run parameters; serialized verbatim alongside results."""
 
     sellmeier: str = _field("cln_ne_jundt1997", "crystal", "sellmeier", "--sellmeier",
-                            help="dispersion fit name or coefficients")
+                            help="registered dispersion fit name")
     temperature_k: float = _field(297.65, "crystal", "temperature_k", "--temperature-k")
     pump_wavelength_m: float = _field(775e-9, "pump", "wavelength_m", "--pump-wavelength")
     pump_power_w: float = _field(0.1, "pump", "power_w", "--power")

@@ -131,12 +131,10 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
                                 compensation, calibration)
 
     def one(index):
-        seed = child_seed(spec.base_seed, index)
         try:
-            stack = structure.build_random(spec.n_domains, spec.l0, spec.sigma, seed)
-            return np.asarray(estimator(stack), dtype=float)
+            return np.asarray(estimator(realization_stack(spec, index)), dtype=float)
         except Exception as exc:
-            raise RealizationError(index, seed, exc) from exc
+            raise RealizationError(index, child_seed(spec.base_seed, index), exc) from exc
 
     # Chunked, index-ordered accumulation bounds memory for curve-valued
     # observables and keeps the reduction order independent of n_workers.

@@ -233,12 +233,9 @@ def sum_frequency_trace(amplitude: TwoPhotonAmplitude, delays: np.ndarray = None
         transform = _chirp_z(amplitude.values, nu0, d_nu, tau0, d_tau, delays.size)
         intensity = np.abs(step * transform) ** 2
     else:
-        n = amplitude.values.size * pad_factor
-        transform = np.fft.fft(amplitude.values, n)
-        intensity = np.abs(step * transform) ** 2
-        delays = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
-        order = np.argsort(delays)
-        delays, intensity = delays[order], intensity[order]
+        transform = np.fft.fft(amplitude.values, amplitude.values.size * pad_factor)
+        intensity = np.fft.fftshift(np.abs(step * transform) ** 2)
+        delays = fft_delay_axis(amplitude.grid, pad_factor)
     area = trapezoid(intensity, delays)
     if area <= 0.0:
         raise ValueError("intensity integrates to zero; cannot normalize")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as C_VACUUM, hbar
 from scipy.integrate import trapezoid
+from scipy.optimize import brentq
 
 from . import phasematch, structure
 from .dispersion import DispersionModel, PhaseMismatch, base_domain_length, delta_k, refractive_index
@@ -51,6 +52,7 @@ DEFAULT_WINDOW = (1.0e-6, 2.6e-6)
 DEFAULT_SAMPLES = 2 ** 14
 REFERENCE_PAIR_RATE = 2e7          # pairs/s for the reference configuration
 REFERENCE_N_DOMAINS = 2000
+SIGMA_BRACKET = (1e-9, 5e-6)       # m, disorder range searched by sigma_for_zeta
 
 
 class NoSolutionError(ValueError):
@@ -311,50 +313,41 @@ def calibrate(model: DispersionModel,
     return reference_rate / raw
 
 
-def _chirped_width_target(zeta, n_domains, grid, pump, model):
-    source = ChirpedSource(n_domains=n_domains, zeta=zeta, envelope=True)
-    spec = signal_spectrum(spectral_density(grid, pump, model, source))
-    return fwhm(spec).width_omega
-
-
-def _random_width(sigma, n_domains, grid, pump, model):
-    source = RandomEnsembleSource(n_domains=n_domains, sigma=sigma)
-    spec = signal_spectrum(spectral_density(grid, pump, model, source))
-    return fwhm(spec).width_omega
+def _width(source, grid, pump, model):
+    return fwhm(signal_spectrum(spectral_density(grid, pump, model, source))).width_omega
 
 
 def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
                    grid: SpectralGrid = None, pump: PumpSpec = None,
-                   rtol: float = 1e-3,
-                   sigma_lo: float = 1e-9, sigma_hi: float = 5e-6) -> float:
+                   rtol: float = 1e-3) -> float:
     """Disorder parameter sigma whose ensemble signal spectrum has the same
     width as the chirped spectrum at the given chirp parameter.
 
-    Bisection on the monotone width(sigma) map over [sigma_lo, sigma_hi];
-    raises NoSolutionError when the target is not bracketed.
+    Brent's method solves log(width(sigma) / target) = 0 in log sigma over
+    SIGMA_BRACKET to within rtol / 2; the ensemble width is close to linear
+    in sigma, so the widths then match within rtol.  Raises NoSolutionError
+    when the target is not bracketed or the solver does not converge.
     """
     pump = pump or default_pump()
     grid = grid or symmetric_grid(pump.omega_p0, model=model)
-    target = _chirped_width_target(zeta, n_domains, grid, pump, model)
-    lo, hi = sigma_lo, sigma_hi
-    w_lo = _random_width(lo, n_domains, grid, pump, model)
-    w_hi = _random_width(hi, n_domains, grid, pump, model)
+    target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta), grid, pump, model)
+
+    def width(log_sigma):
+        source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma))
+        return _width(source, grid, pump, model)
+
+    lo, hi = SIGMA_BRACKET
+    w_lo, w_hi = width(np.log(lo)), width(np.log(hi))
     if not (w_lo <= target <= w_hi):
         raise NoSolutionError(
             f"chirped width {target:.4e} rad/s not bracketed by sigma in "
-            f"[{sigma_lo:.2e}, {sigma_hi:.2e}] m (widths [{w_lo:.4e}, {w_hi:.4e}])"
+            f"[{lo:.2e}, {hi:.2e}] m (widths [{w_lo:.4e}, {w_hi:.4e}])"
         )
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        width = _random_width(mid, n_domains, grid, pump, model)
-        if abs(width - target) <= rtol * target and (hi - lo) <= rtol * hi:
-            break
-        if width < target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    log_sigma, result = brentq(lambda x: np.log(width(x) / target), np.log(lo), np.log(hi),
+                               xtol=rtol / 2.0, full_output=True, disp=False)
+    if not result.converged:
+        raise NoSolutionError(f"width match did not converge: {result.flag}")
+    return float(np.exp(log_sigma))
 
 
 def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,

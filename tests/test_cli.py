@@ -75,6 +75,14 @@ class TestL0:
         assert main(["l0", "--pump-wavelength", "10.2e-6"]) == EXIT_NUMERIC
         assert "error" in capsys.readouterr().err
 
+    def test_explicit_sellmeier_coefficients_are_config_error(self, capsys):
+        # the CLI takes a registered fit name only: explicit coefficients
+        # need a wavelength range, which RunConfig does not carry
+        coefficients = ("5.35583,0.100473,0.20692,100,11.34927,"
+                        "1.5334e-2,4.629e-7,3.862e-8,-0.89e-8,2.657e-5")
+        assert main(["l0", "--sellmeier", coefficients]) == EXIT_CONFIG
+        assert "explicit coefficients require" in capsys.readouterr().err
+
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "poledspdc.cli", "l0"],
                                 capture_output=True, text=True)

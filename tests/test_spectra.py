@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.constants import c, hbar
@@ -23,6 +25,7 @@ from poledspdc import (
     spectral_density,
     symmetric_grid,
 )
+from poledspdc import phasematch, spectra
 from poledspdc.spectra import half_max_interval, integrated_density, mismatch_on_grid
 
 SINC_HALF_MAX = 1.3915573782515105   # sin(x)/x = 1/sqrt(2)
@@ -265,9 +268,31 @@ class TestSigmaZetaMap:
         w_chirp = fwhm(signal_spectrum(spectral_density(grid_mid, pump, model, chirp))).width_omega
         assert abs(w_rand - w_chirp) <= 1e-3 * w_chirp
 
-    def test_no_bracket_raises(self, model, pump, grid_mid):
-        with pytest.raises(NoSolutionError):
-            sigma_for_zeta(1e6, 2000, model, grid_mid, pump, sigma_hi=1e-7)
+    def test_width_evaluations_per_solve(self, model, pump, grid_mid, monkeypatch):
+        calls = []
+        f_avg_sq = phasematch.f_avg_sq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return f_avg_sq(*args, **kwargs)
+
+        monkeypatch.setattr(phasematch, "f_avg_sq", counted)
+        sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
+        assert 0 < len(calls) <= 11
+
+    def test_unconverged_solve_raises(self, model, pump, grid_mid, monkeypatch):
+        def stalled(f, a, b, **kwargs):
+            return a, SimpleNamespace(converged=False, flag="convergence error")
+
+        monkeypatch.setattr(spectra, "brentq", stalled)
+        with pytest.raises(NoSolutionError, match="did not converge"):
+            sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
+
+    def test_no_bracket_raises(self, model, pump, grid_mid, monkeypatch):
+        # no natural input is left unbracketed, so narrow the bracket
+        monkeypatch.setattr(spectra, "SIGMA_BRACKET", (1e-9, 1e-7))
+        with pytest.raises(NoSolutionError, match="not bracketed"):
+            sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
 
 
 class TestRateRatio:
