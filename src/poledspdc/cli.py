@@ -205,7 +205,7 @@ def _source(ctx: Context, kind: str = None, sigma: float = None):
         return structure.build_chirped(ctx.config.n_domains, ctx.l0,
                                        ctx.config.zeta_per_m2, ctx.delta_k0)
     if kind == "ensemble":
-        return spectra.RandomEnsembleSource(ctx.config.n_domains, sigma)
+        return spectra.RandomEnsembleSource(ctx.config.n_domains, sigma, l0=ctx.l0)
     raise ValueError(f"unknown structure kind {kind!r}")
 
 
@@ -261,7 +261,8 @@ def cmd_fig1(args) -> int:
     for i, sigma in enumerate(SIGMA_SCAN_FIG1):
         rows = []
         for n_domains in n_scan:
-            rate = _pair_rate(ctx, spectra.RandomEnsembleSource(n_domains, sigma), calibration)
+            rate = _pair_rate(ctx, spectra.RandomEnsembleSource(n_domains, sigma, ctx.l0),
+                              calibration)
             if sigma == 0.0:
                 rows.append((rate, rate, 0.0))
             elif args.mc:

@@ -91,14 +91,6 @@ def default_hom_delays(span: float = 200e-15, step: float = 0.25e-15) -> np.ndar
     return np.arange(-n, n + 1) * step
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = (x[1] - x[0]) / 2.0
-    w[-1] = (x[-1] - x[-2]) / 2.0
-    return w
-
-
 def _uniform_axis(x: np.ndarray, label: str) -> tuple:
     """Start and step of an evenly spaced axis; ValueError otherwise.
 
@@ -151,7 +143,8 @@ def hom_trace(mean_abs_f_sq: np.ndarray, grid: SpectralGrid, pump: PumpSpec,
     delays = default_hom_delays() if delays is None else np.asarray(delays, dtype=float)
     nu0, d_nu = _uniform_axis(grid.detuning, "spectral grid")
     tau0, d_tau = _uniform_axis(delays, "delays")
-    weights = _trapezoid_weights(grid.omega)
+    weights = np.gradient(grid.omega)   # trapezoid weights: half steps at the ends
+    weights[[0, -1]] /= 2.0
     baseline = float(np.dot(weights, curve))
     if baseline <= 0.0:
         raise ValueError("zero baseline: <|F|^2> integrates to zero")

@@ -7,7 +7,7 @@ The stochastic phase-matching function of a stack with boundaries z_0..z_N is
 a length-dimensioned complex amplitude.  f_exact evaluates it in closed
 per-domain form, f_boundary_sum evaluates the large-N boundary-sum
 approximation (2i/dk) sum_j (-1)^j exp(i dk z_j), f_avg_sq gives the exact
-ensemble average of |F|^2 over Gaussian domain-length disorder, and
+ensemble average of |f_exact|^2 over Gaussian domain-length disorder, and
 f_chirped / f_chirped_envelope give the closed-form response of a
 quadratically chirped stack.
 """
@@ -15,6 +15,7 @@ quadratically chirped stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from scipy.special import erf as _scipy_erf
@@ -56,6 +57,13 @@ class PhaseMatchSample:
     value: object
     abs_sq: object
     at: PhaseMismatch
+
+
+def _sample(value, at: PhaseMismatch) -> PhaseMatchSample:
+    if np.ndim(at.delta_k) == 0:
+        v = complex(np.ravel(value)[0])
+        return PhaseMatchSample(v, abs(v) ** 2, at)
+    return PhaseMatchSample(value, np.abs(value) ** 2, at)
 
 
 def _signed_boundary_sum(boundaries: np.ndarray, dk: np.ndarray) -> np.ndarray:
@@ -100,10 +108,7 @@ def f_exact(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
                       + (-1.0) ** stack.n_domains * np.exp(1j * dkr * z[-1]))
         value[regular] = (2j / dkr) * (s - ends)
 
-    if np.ndim(mismatch.delta_k) == 0:
-        v = complex(value[0])
-        return PhaseMatchSample(v, abs(v) ** 2, mismatch)
-    return PhaseMatchSample(value, np.abs(value) ** 2, mismatch)
+    return _sample(value, mismatch)
 
 
 def f_boundary_sum(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
@@ -120,40 +125,50 @@ def f_boundary_sum(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
             "use f_exact near delta_k = 0"
         )
     value = (2j / dk) * _signed_boundary_sum(stack.boundaries, dk)
-    if np.ndim(mismatch.delta_k) == 0:
-        v = complex(value[0])
-        return PhaseMatchSample(v, abs(v) ** 2, mismatch)
-    return PhaseMatchSample(value, np.abs(value) ** 2, mismatch)
+    return _sample(value, mismatch)
+
+
+def _excess(x, expm1_x, n: int):
+    """sum_(m<n) expm1(m x) = expm1(n x) / expm1(x) - n at full relative
+    precision: where |n x| is small, a power series replaces the ratio."""
+    near = np.abs(n * x) < 1e-2
+    out = np.expm1(n * x) / np.where(near, 1.0, expm1_x) - n
+    sums = np.vander(np.arange(n, dtype=float), 7).sum(axis=0)   # sum_(m<n) m^k, k = 6..0
+    out[near] = x[near] * np.polyval(sums[:-1] / [factorial(k) for k in range(6, 0, -1)], x[near])
+    return out
 
 
 def f_avg_sq(mismatch: PhaseMismatch, n_domains: int, l0: float, sigma: float):
-    """Ensemble average of |F|^2 over Gaussian domain-length disorder.
+    """Ensemble average of |f_exact|^2 over Gaussian domain-length disorder.
 
-    Closed form for independent declinations with density exp(-dl^2/sigma^2):
+    f_exact = (2i/dk) S, S = sum_j w_j (-1)^j e^(i dk z_j) with half weights
+    at both ends.  Each domain multiplies the next term by -e^(i dk l), of
+    mean e^a over the density exp(-(l-l0)^2/sigma^2): a = i (dk l0 - pi)
+    - (sigma dk)^2/4, b = 2 Re a.  With [m] = (1 - e^(m a))/(1 - e^a),
+    <S> = (1 + e^a) [N] / 2 and the N steps of S - <S> are uncorrelated:
 
-        <|F|^2> = (4/dk^2) [ (N+1) (1-|H|^2)/|1-H|^2
-                             - 2 Re( H (1 - H^(N+1)) / (1-H)^2 ) ]
+        <|F|^2> = (4/dk^2) [ |<S>|^2 - expm1(b) sum_(m<N) |[m] + e^(m a)/2|^2 ] .
 
-    with H = exp(i dk_small l0) exp(-(sigma dk)^2 / 4).  The Gaussian damping
-    carries the total mismatch dk; the per-boundary phase carries the
-    detuning dk_small.  Returns |F|^2 in m^2 (same shape as the mismatch).
-
-    Requires sigma > 0: at sigma = 0 the geometric series degenerates; route
-    that case through f_exact on a periodic stack.
+    The sum goes through _excess at a and b, so sigma = 0 is a continuous
+    limit, the periodic stack's |f_exact|^2.  Returns |F|^2 in m^2, shaped
+    like the mismatch; rejects sigma < 0.
     """
-    if sigma <= 0.0:
-        raise ValueError("f_avg_sq requires sigma > 0; use a periodic stack for sigma = 0")
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
     if n_domains < 1:
         raise ValueError("n_domains must be >= 1")
-    dk = np.asarray(mismatch.delta_k, dtype=float)
-    small = np.asarray(mismatch.delta_k_small, dtype=float)
-    H = np.exp(1j * small * l0 - (sigma * dk) ** 2 / 4.0)
-    one_minus = 1.0 - H
-    habs2 = np.abs(H) ** 2
-    leading = (n_domains + 1) * (1.0 - habs2) / np.abs(one_minus) ** 2
-    tail = 2.0 * np.real(H * (1.0 - H ** (n_domains + 1)) / one_minus ** 2)
-    result = 4.0 / dk ** 2 * (leading - tail)
-    return result if result.ndim else float(result)
+    dk = np.atleast_1d(np.asarray(mismatch.delta_k, dtype=float))
+    b = -0.5 * (sigma * dk) ** 2
+    a = 1j * (np.remainder(dk * l0, 2.0 * np.pi) - np.pi) + 0.5 * b   # e^a is 2 pi i periodic
+    expm1_a, expm1_b = np.expm1(a), np.expm1(b)
+    xa, xb = _excess(a, expm1_a, n_domains), _excess(b, expm1_b, n_domains)
+    mean = 0.5 * (2.0 + expm1_a) * (n_domains + xa)
+    # a = 0 only where sigma dk = 0, where the covariance weight expm1(b) is 0
+    d = np.where(expm1_a == 0.0, 1.0, expm1_a)
+    spread = ((xb - 2.0 * xa.real) / np.abs(d) ** 2 - np.real((xa.conj() - xb) / d)
+              + 0.25 * (n_domains + xb))
+    result = 4.0 / dk ** 2 * (np.abs(mean) ** 2 - expm1_b * spread)
+    return result if np.ndim(mismatch.delta_k) else float(result[0])
 
 
 _SQRT_MINUS_I = np.exp(-1j * np.pi / 4.0)
@@ -189,10 +204,7 @@ def f_chirped(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_prime: fl
     amplitude = (2j / dk) * np.sqrt(np.pi) / (2.0 * _SQRT_MINUS_I * root * l0)
     phase = np.exp(1j * small * l0 * n_domains / 2.0 - 1j * small ** 2 / (4.0 * dk * zeta_prime))
     value = amplitude * phase * bracket
-    if np.ndim(mismatch.delta_k) == 0:
-        v = complex(value)
-        return PhaseMatchSample(v, abs(v) ** 2, mismatch)
-    return PhaseMatchSample(value, np.abs(value) ** 2, mismatch)
+    return _sample(value, mismatch)
 
 
 def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float,

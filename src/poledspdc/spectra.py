@@ -12,6 +12,7 @@ calibration constant pinned to a reference pair rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.constants import c as C_VACUUM, hbar
@@ -196,34 +197,26 @@ def mismatch_on_grid(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel)
     return delta_k(model, grid.omega, grid.idler(pump.omega_p0), pump.omega_p0)
 
 
-def _source_l0(source, pump: PumpSpec, model: DispersionModel) -> float:
-    if source.l0 is not None:
-        return source.l0
-    return base_domain_length(model, pump.omega_p0)
-
-
 def mean_abs_f_sq(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> np.ndarray:
     """<|F|^2> on the grid for a concrete stack (identity average), an
-    analytic random ensemble, or an analytic chirped stack."""
+    analytic random ensemble (the average of |f_exact|^2 at every
+    sigma >= 0) or an analytic chirped stack; an analytic source without
+    l0 uses the base domain length."""
     mismatch = mismatch_on_grid(grid, pump, model)
     if isinstance(source, DomainStack):
         return phasematch.f_exact(source, mismatch).abs_sq
+    if not isinstance(source, (RandomEnsembleSource, ChirpedSource)):
+        raise TypeError(f"unsupported source {type(source).__name__}")
+    l0 = base_domain_length(model, pump.omega_p0) if source.l0 is None else source.l0
     if isinstance(source, RandomEnsembleSource):
-        l0 = _source_l0(source, pump, model)
-        if source.sigma == 0.0:
-            stack = structure.build_periodic(source.n_domains, l0)
-            return phasematch.f_exact(stack, mismatch).abs_sq
         return phasematch.f_avg_sq(mismatch, source.n_domains, l0, source.sigma)
-    if isinstance(source, ChirpedSource):
-        l0 = _source_l0(source, pump, model)
-        if source.zeta == 0.0:
-            stack = structure.build_periodic(source.n_domains, l0)
-            return phasematch.f_exact(stack, mismatch).abs_sq
-        zeta_prime = source.zeta / mismatch.delta_k0
-        if source.envelope:
-            return phasematch.f_chirped_envelope(mismatch, source.n_domains, l0, zeta_prime)
-        return phasematch.f_chirped(mismatch, source.n_domains, l0, zeta_prime).abs_sq
-    raise TypeError(f"unsupported source {type(source).__name__}")
+    if source.zeta == 0.0:
+        stack = structure.build_periodic(source.n_domains, l0)
+        return phasematch.f_exact(stack, mismatch).abs_sq
+    zeta_prime = source.zeta / mismatch.delta_k0
+    if source.envelope:
+        return phasematch.f_chirped_envelope(mismatch, source.n_domains, l0, zeta_prime)
+    return phasematch.f_chirped(mismatch, source.n_domains, l0, zeta_prime).abs_sq
 
 
 def spectral_density(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> Spectrum:
@@ -332,6 +325,7 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
     grid = grid or symmetric_grid(pump.omega_p0, model=model)
     target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta), grid, pump, model)
 
+    @cache  # brentq starts by re-evaluating the two bracket ends checked below
     def width(log_sigma):
         source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma))
         return _width(source, grid, pump, model)

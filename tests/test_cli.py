@@ -8,7 +8,15 @@ import pytest
 from scipy.constants import hbar
 from scipy.integrate import trapezoid
 
-from poledspdc import __version__, ensemble
+from poledspdc import (
+    __version__,
+    base_domain_length,
+    build_periodic,
+    ensemble,
+    pair_rate,
+    spectral_density,
+    symmetric_grid,
+)
 from poledspdc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -181,6 +189,19 @@ class TestFig1:
         assert np.all(columns["rate_analytic_sigma0"] > columns["rate_analytic_sigma1"])
         assert np.all(columns["rate_analytic_sigma1"] > columns["rate_analytic_sigma2"])
         assert np.all(columns["rate_mc_stderr_sigma1"] > 0)
+
+    def test_analytic_rates_use_the_configured_l0(self, tmp_path, model, pump):
+        l0 = 1.002 * base_domain_length(model, pump.omega_p0)
+        code = main(["fig1", "--outdir", str(tmp_path), *FAST, "--n-domains-scan", "200,400",
+                     "--l0", repr(l0), "--no-mc"])
+        assert code == EXIT_OK
+        meta, columns = read_csv(tmp_path / "fig1.csv")
+        grid = symmetric_grid(pump.omega_p0, n_samples=1024, model=model)
+        calibration = float(meta["calibration_constant"])
+        for n, rate in zip((200, 400), columns["rate_analytic_sigma0"]):
+            periodic = pair_rate(spectral_density(grid, pump, model, build_periodic(n, l0)),
+                                 calibration).pair_rate
+            assert rate == pytest.approx(periodic, rel=1e-9)
 
     def test_empty_scan_is_config_error(self, tmp_path, capsys):
         code = main(["fig1", "--outdir", str(tmp_path), "--n-domains-scan", ","])

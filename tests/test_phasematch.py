@@ -15,6 +15,7 @@ from poledspdc import (
     f_exact,
     mismatch_from_detuning,
 )
+from poledspdc.spectra import mismatch_on_grid
 from poledspdc.structure import shifted
 
 from series_erf import erf_series
@@ -124,15 +125,20 @@ class TestFBoundarySum:
 
 class TestFAvgSq:
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            f_avg_sq(at_detuning(0.0), 100, L0, 0.0)
+        # sigma = 0 is the periodic limit; only a negative sigma is rejected
+        with pytest.raises(ValueError, match="sigma"):
+            f_avg_sq(at_detuning(0.0), 100, L0, -1e-9)
+        assert f_avg_sq(at_detuning(0.0), 100, L0, 0.0) == pytest.approx(
+            (2 * 100 / DK0) ** 2, rel=1e-12)
 
     def test_zero_detuning_closed_form(self):
-        # symbolic reduction at dk_small = 0 where H is real
+        # symbolic reduction at dk_small = 0 where h is real: <|S|^2> is
+        # sum_jk w_j w_k h^|j-k| with half weights w_0 = w_N = 1/2, i.e.
+        # (N - 1/2) + 2 [sum_(d<N) (N - d) h^d + h^N / 4]
         sigma, n = 2e-6, 2000
         h = np.exp(-(sigma * DK0) ** 2 / 4)
-        expected = (4 / DK0 ** 2) * ((n + 1) * (1 - h ** 2) / (1 - h) ** 2
-                                     - 2 * h * (1 - h ** (n + 1)) / (1 - h) ** 2)
+        weighted = (n - (n + 1) * h + h ** (n + 1)) / (1 - h) ** 2 - n
+        expected = (4 / DK0 ** 2) * ((n - 0.5) + 2 * weighted + 0.5 * h ** n)
         assert f_avg_sq(at_detuning(0.0), n, L0, sigma) == pytest.approx(expected, rel=1e-12)
 
     def test_linear_growth_slope(self):
@@ -166,16 +172,48 @@ class TestFAvgSq:
         analytic = f_avg_sq(mm, n, L0, sigma)
         assert np.all(np.abs(mean - analytic) <= 3 * stderr)
 
-    def test_small_sigma_approaches_boundary_sum_square(self):
-        # the sigma -> 0 limit of the average is the boundary-sum square;
-        # below sigma ~ 1e-9 the 1-H cancellation sets a conditioning floor
+    def test_unbiased_against_f_exact_at_small_disorder(self):
+        # short stacks at weak disorder expose the O(1/N) end terms and the
+        # phase of <-e^(i dk l)>; an average of the boundary-sum square sits
+        # 10 to 1600 stderr away here
+        sigma, n, m = 0.3e-6, 50, 4000
+        mm = at_detuning(np.linspace(-4e4, 4e4, 9))
+        samples = np.array([f_exact(build_random(n, L0, sigma, seed=70_000 + i), mm).abs_sq
+                            for i in range(m)])
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(m)
+        analytic = f_avg_sq(mm, n, L0, sigma)
+        assert np.all(np.abs(samples.mean(axis=0) - analytic) <= 4 * stderr)
+
+    @pytest.mark.parametrize("factor", [1.002, 3.0])
+    def test_off_base_domain_length(self, factor):
+        # l0 away from pi / dk0 keeps the phase dk l0 - pi of every domain,
+        # up to third-order quasi-phase matching at l0 = 3 pi / dk0
+        l0 = factor * L0
+        mm = at_detuning(np.linspace(-3e4, 1e4, 7))
+        periodic = f_exact(build_periodic(300, l0), mm).abs_sq
+        for sigma in (0.0, 1e-12):
+            gap = np.max(np.abs(f_avg_sq(mm, 300, l0, sigma) - periodic))
+            assert gap <= 1e-10 * periodic.max()
+
+    @pytest.mark.parametrize("n", [250, 2000])
+    def test_sigma_zero_is_the_periodic_stack(self, n, model, pump, grid_mid, l0):
+        # continuous limit, no branch: sigma = 0 and a vanishing sigma both
+        # give the periodic |f_exact|^2 on the whole grid
+        mm = mismatch_on_grid(grid_mid, pump, model)
+        periodic = f_exact(build_periodic(n, l0), mm).abs_sq
+        for sigma in (0.0, 1e-12):
+            gap = np.max(np.abs(f_avg_sq(mm, n, l0, sigma) - periodic))
+            assert gap <= 1e-10 * periodic.max()
+
+    def test_small_sigma_approaches_periodic_peak(self):
+        # the sigma -> 0 limit at the peak is the periodic f_exact, (2N/dk0)^2
         n = 2000
-        limit = (2 * (n + 1) / DK0) ** 2
-        gap_coarse = abs(f_avg_sq(at_detuning(0.0), n, L0, 1e-8) - limit)
-        gap_fine = abs(f_avg_sq(at_detuning(0.0), n, L0, 1e-9) - limit)
-        assert gap_fine < gap_coarse
+        limit = (2 * n / DK0) ** 2
+        gaps = [abs(f_avg_sq(at_detuning(0.0), n, L0, sigma) - limit)
+                for sigma in (1e-8, 1e-9, 1e-10)]
+        assert gaps[0] > gaps[1] > gaps[2]
         assert f_avg_sq(at_detuning(0.0), n, L0, 1e-9) == pytest.approx(limit, rel=1e-4)
-        assert f_avg_sq(at_detuning(0.0), n, L0, 1e-10) == pytest.approx(limit, rel=2e-3)
+        assert f_avg_sq(at_detuning(0.0), n, L0, 0.0) == pytest.approx(limit, rel=1e-12)
 
 
 class TestFChirped:
