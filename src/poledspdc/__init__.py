@@ -19,8 +19,6 @@ from .structure import (
     build_chirped,
     build_periodic,
     build_random,
-    load_stack,
-    save_stack,
 )
 from .phasematch import (
     NumericalDomainError,

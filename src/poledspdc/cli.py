@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
 from . import __version__, ensemble, interference, output, spectra, structure
 from .dispersion import (
@@ -140,10 +139,7 @@ class Context:
 def _context(args, need_grid: bool = True) -> Context:
     config = _resolve(args)
     model = model_from_mapping(config.mapping()["crystal"])
-    pump = spectra.PumpSpec(
-        omega_p0=2.0 * np.pi * C_VACUUM / config.pump_wavelength_m,
-        power=config.pump_power_w,
-    )
+    pump = spectra.default_pump(config.pump_power_w, config.pump_wavelength_m)
     base_l0 = base_domain_length(model, pump.omega_p0)
     l0 = base_l0 if config.l0_m is None else config.l0_m
     grid = None
@@ -250,7 +246,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_fig1(args) -> int:
     ctx = _context(args)
-    n_scan = [int(v) for v in _parse_scan(args.n_domains_scan, "n_domains")]
+    scan = _parse_scan(args.n_domains_scan, "n_domains")
+    if not all(v.is_integer() for v in scan):
+        raise ValueError(f"n_domains scan entries must be integers, got {args.n_domains_scan!r}")
+    n_scan = [int(v) for v in scan]
     calibration = spectra.calibrate(ctx.model, ctx.grid, ctx.pump)
     columns = {"n_domains": np.asarray(n_scan, dtype=float)}
     meta = {"sigma_scan_m": ",".join(str(s) for s in SIGMA_SCAN_FIG1),

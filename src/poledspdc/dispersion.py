@@ -94,30 +94,16 @@ def congruent_linbo3_extraordinary(temperature: float = 297.65) -> DispersionMod
 def model_from_mapping(mapping: Mapping[str, str]) -> DispersionModel:
     """Build a model from a key-value configuration section.
 
-    Recognized keys: ``sellmeier`` (a registered fit name, or ten
-    comma-separated coefficients a1..a6,b1..b4), ``wavelength_min_m`` /
-    ``wavelength_max_m`` (required for explicit coefficients) and
-    ``temperature_k``.
+    Recognized keys: ``sellmeier`` (a fit name registered in KNOWN_MODELS)
+    and ``temperature_k``.  Other fits go through the DispersionModel
+    constructor.
     """
     name = str(mapping.get("sellmeier", "cln_ne_jundt1997")).strip()
-    temperature = float(mapping.get("temperature_k", 297.65))
-    if name in KNOWN_MODELS:
-        coeffs, wl_range = KNOWN_MODELS[name]
-        wl_range = (
-            float(mapping.get("wavelength_min_m", wl_range[0])),
-            float(mapping.get("wavelength_max_m", wl_range[1])),
-        )
-        return DispersionModel(name, coeffs, wl_range, temperature)
-    parts = [float(p) for p in name.split(",")]
-    if len(parts) != 10:
-        raise ValueError(
-            f"sellmeier must name a known fit {sorted(KNOWN_MODELS)} or give "
-            f"10 comma-separated coefficients, got {name!r}"
-        )
-    if "wavelength_min_m" not in mapping or "wavelength_max_m" not in mapping:
-        raise ValueError("explicit coefficients require wavelength_min_m and wavelength_max_m")
-    wl_range = (float(mapping["wavelength_min_m"]), float(mapping["wavelength_max_m"]))
-    return DispersionModel("custom", tuple(parts), wl_range, temperature)
+    if name not in KNOWN_MODELS:
+        raise ValueError(f"sellmeier must name a registered fit {sorted(KNOWN_MODELS)}, "
+                         f"got {name!r}")
+    coeffs, wl_range = KNOWN_MODELS[name]
+    return DispersionModel(name, coeffs, wl_range, float(mapping.get("temperature_k", 297.65)))
 
 
 def _check_range(model: DispersionModel, wavelength) -> None:

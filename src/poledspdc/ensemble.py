@@ -90,9 +90,8 @@ def _make_estimator(observable, model, grid, pump, delays, compensation, calibra
         return observable
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be callable or one of {OBSERVABLES}")
-    if model is None or grid is None:
-        raise ValueError(f"observable {observable!r} needs model and grid")
-    pump = pump or spectra.default_pump()
+    if model is None or grid is None or pump is None:
+        raise ValueError(f"observable {observable!r} needs model, grid and pump")
 
     if observable == "spectrum":
         def estimator(stack):
@@ -124,8 +123,9 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
     """Evaluate an observable over seeded realizations; elementwise mean and
     stderr, independent of worker count and scheduling.
 
-    observable is 'spectrum', 'pair_rate', 'hom', 'sumfreq', or any callable
-    mapping a DomainStack to a scalar or fixed-shape array.
+    observable is 'spectrum', 'pair_rate', 'hom', 'sumfreq' (each needs
+    model, grid and pump), or any callable mapping a DomainStack to a scalar
+    or fixed-shape array.
     """
     estimator = _make_estimator(observable, model, grid, pump, delays,
                                 compensation, calibration)
@@ -166,7 +166,7 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
     return EnsembleEstimate(np.asarray(mean), np.asarray(stderr), m)
 
 
-def convergence_report(estimates, stderr_band=(-0.6, -0.4)) -> ConvergenceReport:
+def convergence_report(estimates) -> ConvergenceReport:
     """Diagnose nested ensembles at increasing sizes (typically M, 2M, 4M).
 
     Reports the max-norm drift of successive means, the fitted scaling

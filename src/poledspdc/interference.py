@@ -83,10 +83,12 @@ class SumFrequencyTrace:
 
     delays: np.ndarray
     intensity: np.ndarray
-    compensation: str
 
 
 def default_hom_delays(span: float = 200e-15, step: float = 0.25e-15) -> np.ndarray:
+    """Delays -span..span in steps of step; both must be finite and positive."""
+    if not (0.0 < span < np.inf and 0.0 < step < np.inf):
+        raise ValueError(f"delay span and step must be finite and positive, got {span}, {step}")
     n = int(round(span / step))
     return np.arange(-n, n + 1) * step
 
@@ -169,7 +171,7 @@ def two_photon_amplitude(source, grid: SpectralGrid, pump: PumpSpec,
     mismatch = spectra.mismatch_on_grid(grid, pump, model)
     f = phasematch.f_exact(source, mismatch).value
     g = spectra.coupling_g(grid.omega, grid.idler(pump.omega_p0), model)
-    values = g * np.sqrt(pump.amplitude_sq) * f
+    values = g * np.sqrt(pump.power) * f
     return TwoPhotonAmplitude(grid, values, compensation="none")
 
 
@@ -232,7 +234,7 @@ def sum_frequency_trace(amplitude: TwoPhotonAmplitude, delays: np.ndarray = None
     area = trapezoid(intensity, delays)
     if area <= 0.0:
         raise ValueError("intensity integrates to zero; cannot normalize")
-    return SumFrequencyTrace(delays, intensity / area, amplitude.compensation)
+    return SumFrequencyTrace(delays, intensity / area)
 
 
 def fft_delay_axis(grid: SpectralGrid, pad_factor: int = 16) -> np.ndarray:

@@ -49,21 +49,18 @@ class NumericalDomainError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseMatchSample:
-    """Phase-matching amplitude (m) and |F|^2 (m^2) at a mismatch.
-
-    Ensemble-averaged paths carry abs_sq only (value is None).
-    """
+    """Phase-matching amplitude (m) and |F|^2 (m^2), scalars for a scalar
+    mismatch."""
 
     value: object
     abs_sq: object
-    at: PhaseMismatch
 
 
 def _sample(value, at: PhaseMismatch) -> PhaseMatchSample:
     if np.ndim(at.delta_k) == 0:
         v = complex(np.ravel(value)[0])
-        return PhaseMatchSample(v, abs(v) ** 2, at)
-    return PhaseMatchSample(value, np.abs(value) ** 2, at)
+        return PhaseMatchSample(v, abs(v) ** 2)
+    return PhaseMatchSample(value, np.abs(value) ** 2)
 
 
 def _signed_boundary_sum(boundaries: np.ndarray, dk: np.ndarray) -> np.ndarray:
@@ -151,9 +148,9 @@ def f_avg_sq(mismatch: PhaseMismatch, n_domains: int, l0: float, sigma: float):
 
     The sum goes through _excess at a and b, so sigma = 0 is a continuous
     limit, the periodic stack's |f_exact|^2.  Returns |F|^2 in m^2, shaped
-    like the mismatch; rejects sigma < 0.
+    like the mismatch; rejects a negative or NaN sigma.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be >= 0")
     if n_domains < 1:
         raise ValueError("n_domains must be >= 1")
@@ -207,22 +204,21 @@ def f_chirped(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_prime: fl
     return _sample(value, mismatch)
 
 
-def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float,
-                       zeta_prime: float, kernel_periods: float = 8.0):
+def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_prime: float):
     """Fresnel-ripple-averaged |F|^2 of a chirped stack.
 
     The closed form carries an oscillation of quasi-period 4 pi / (N l0) in
     detuning (the Fresnel transient of the erf terms).  This helper evaluates
     |f_chirped|^2 on an internal uniform detuning grid and applies a boxcar
-    of `kernel_periods` ripple periods, capped at a quarter of the swept
-    band, yielding the smooth spectral envelope used for width measurements.
+    of 8 ripple periods, capped at a quarter of the swept band, yielding the
+    smooth spectral envelope used for width measurements.
     Returns |F|^2 (m^2) at the requested mismatch.
     """
     dk0 = float(mismatch.delta_k0)
     small = np.atleast_1d(np.asarray(mismatch.delta_k_small, dtype=float))
     band_edge = zeta_prime * dk0 * n_domains * l0
     ripple = 4.0 * np.pi / (n_domains * l0)
-    width = min(kernel_periods * ripple, 0.5 * band_edge)
+    width = min(8.0 * ripple, 0.5 * band_edge)
     lo = min(small.min(), -1.3 * band_edge) - width
     hi = max(small.max(), 1.3 * band_edge) + width
     step = ripple / 12.0

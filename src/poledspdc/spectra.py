@@ -62,18 +62,15 @@ class NoSolutionError(ValueError):
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """cw pump: frequency, optical power and squared amplitude (arb. units,
-    proportional to power with a fixed unit constant)."""
+    """cw pump: frequency and optical power; the squared pump amplitude is
+    the power in the units of the calibration constant."""
 
     omega_p0: float
     power: float
-    amplitude_sq: float = None
 
     def __post_init__(self):
-        if self.power <= 0.0:
+        if not self.power > 0.0:
             raise ValueError("pump power must be positive")
-        if self.amplitude_sq is None:
-            object.__setattr__(self, "amplitude_sq", self.power)
 
 
 def default_pump(power: float = DEFAULT_PUMP_POWER,
@@ -153,8 +150,6 @@ class Spectrum:
 @dataclass(frozen=True)
 class RateReport:
     pair_rate: float
-    calibration_constant: float
-    configuration: str
     calibrated: bool
 
 
@@ -223,7 +218,7 @@ def spectral_density(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel,
     """Mean pair-number spectral density (per unit time, uncalibrated):
     |g|^2 |xi_p|^2 / (2 pi) * <|F|^2> on the energy-conservation line."""
     g = coupling_g(grid.omega, grid.idler(pump.omega_p0), model)
-    weight = np.abs(g) ** 2 * pump.amplitude_sq / (2.0 * np.pi)
+    weight = np.abs(g) ** 2 * pump.power / (2.0 * np.pi)
     return Spectrum(grid, weight * mean_abs_f_sq(grid, pump, model, source))
 
 
@@ -277,33 +272,23 @@ def fwhm(spectrum: Spectrum) -> FwhmResult:
     return FwhmResult(hi - lo, width_wavelength, lo, hi)
 
 
-def integrated_density(density: Spectrum) -> float:
-    return float(trapezoid(density.values, density.grid.omega))
-
-
-def pair_rate(density: Spectrum, calibration: float = None, configuration: str = "") -> RateReport:
+def pair_rate(density: Spectrum, calibration: float = None) -> RateReport:
     """Photon-pair rate, integral of the density; uncalibrated results are
     flagged rather than rejected."""
-    raw = integrated_density(density)
+    raw = float(trapezoid(density.values, density.grid.omega))
     if calibration is None:
-        return RateReport(raw, 1.0, configuration or "uncalibrated", calibrated=False)
-    return RateReport(calibration * raw, calibration, configuration, calibrated=True)
+        return RateReport(raw, calibrated=False)
+    return RateReport(calibration * raw, calibrated=True)
 
 
-def calibrate(model: DispersionModel,
-              grid: SpectralGrid = None,
-              pump: PumpSpec = None,
-              reference_rate: float = REFERENCE_PAIR_RATE,
-              reference_n_domains: int = REFERENCE_N_DOMAINS) -> float:
-    """Fix the global constant so the periodic reference stack reproduces
-    the reference pair rate at the reference pump power."""
-    pump = pump or default_pump()
-    grid = grid or symmetric_grid(pump.omega_p0, model=model)
-    stack = structure.build_periodic(reference_n_domains, base_domain_length(model, pump.omega_p0))
-    raw = integrated_density(spectral_density(grid, pump, model, stack))
+def calibrate(model: DispersionModel, grid: SpectralGrid, pump: PumpSpec) -> float:
+    """Fix the global constant so the periodic reference stack of
+    REFERENCE_N_DOMAINS domains reproduces REFERENCE_PAIR_RATE at the pump."""
+    stack = structure.build_periodic(REFERENCE_N_DOMAINS, base_domain_length(model, pump.omega_p0))
+    raw = pair_rate(spectral_density(grid, pump, model, stack)).pair_rate
     if raw <= 0.0:
         raise ValueError("reference configuration produced a zero raw rate")
-    return reference_rate / raw
+    return REFERENCE_PAIR_RATE / raw
 
 
 def _width(source, grid, pump, model):
@@ -311,8 +296,7 @@ def _width(source, grid, pump, model):
 
 
 def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
-                   grid: SpectralGrid = None, pump: PumpSpec = None,
-                   rtol: float = 1e-3) -> float:
+                   grid: SpectralGrid, pump: PumpSpec, rtol: float = 1e-3) -> float:
     """Disorder parameter sigma whose ensemble signal spectrum has the same
     width as the chirped spectrum at the given chirp parameter.
 
@@ -321,8 +305,6 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
     in sigma, so the widths then match within rtol.  Raises NoSolutionError
     when the target is not bracketed or the solver does not converge.
     """
-    pump = pump or default_pump()
-    grid = grid or symmetric_grid(pump.omega_p0, model=model)
     target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta), grid, pump, model)
 
     @cache  # brentq starts by re-evaluating the two bracket ends checked below
@@ -345,20 +327,17 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
 
 
 def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,
-               grid: SpectralGrid = None, pump: PumpSpec = None,
-               sigma: float = None) -> float:
+               grid: SpectralGrid, pump: PumpSpec, sigma: float = None) -> float:
     """Pair-rate ratio random/chirped at width-matched disorder.
 
     The ratio is calibration- and pump-power-independent.  `sigma` may be
     supplied to reuse a previously solved match.
     """
-    pump = pump or default_pump()
-    grid = grid or symmetric_grid(pump.omega_p0, model=model)
     if sigma is None:
         sigma = sigma_for_zeta(zeta, n_domains, model, grid, pump)
-    random_rate = integrated_density(spectral_density(
-        grid, pump, model, RandomEnsembleSource(n_domains=n_domains, sigma=sigma)))
+    random_rate = pair_rate(spectral_density(
+        grid, pump, model, RandomEnsembleSource(n_domains=n_domains, sigma=sigma))).pair_rate
     l0 = base_domain_length(model, pump.omega_p0)
     chirp_stack = structure.build_chirped(n_domains, l0, zeta, np.pi / l0)
-    chirped_rate = integrated_density(spectral_density(grid, pump, model, chirp_stack))
+    chirped_rate = pair_rate(spectral_density(grid, pump, model, chirp_stack)).pair_rate
     return random_rate / chirped_rate

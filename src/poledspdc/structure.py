@@ -9,7 +9,6 @@ so identical calls give bit-identical stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +19,6 @@ __all__ = [
     "build_random",
     "build_chirped",
     "shifted",
-    "save_stack",
-    "load_stack",
 ]
 
 
@@ -56,8 +53,8 @@ class DomainStack:
         if z.ndim != 1 or z.size < 2:
             raise StackConstructionError("a stack needs at least one domain")
         gaps = np.diff(z)
-        if np.any(gaps <= 0.0):
-            first = int(np.argmax(gaps <= 0.0)) + 1
+        if not np.all(gaps > 0.0):
+            first = int(np.argmax(~(gaps > 0.0))) + 1
             raise StackConstructionError(
                 f"boundaries must be strictly increasing; first violation at index {first}"
             )
@@ -101,7 +98,7 @@ def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainSt
     and redrawn; the count is recorded on the stack.
     """
     _check_common(n_domains, l0)
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise StackConstructionError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return replace(build_periodic(n_domains, l0), kind="random", sigma=0.0, seed=seed)
@@ -135,8 +132,8 @@ def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> Do
     z = n * l0 + zeta_prime * (n - n_domains / 2.0) ** 2 * l0 ** 2
     z -= z[0]
     gaps = np.diff(z)
-    if np.any(gaps <= 0.0):
-        first = int(np.argmax(gaps <= 0.0)) + 1
+    if not np.all(gaps > 0.0):
+        first = int(np.argmax(~(gaps > 0.0))) + 1
         raise StackConstructionError(
             f"chirp zeta={zeta:g} makes boundary {first} non-increasing; "
             f"|zeta| must stay below ~{np.pi / (l0 ** 2 * max(n_domains - 1, 1)):.3e} 1/m^2"
@@ -147,43 +144,3 @@ def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> Do
 def shifted(stack: DomainStack, offset: float) -> DomainStack:
     """Copy of the stack rigidly translated by offset (for invariance checks)."""
     return replace(stack, boundaries=stack.boundaries + offset)
-
-
-def save_stack(stack: DomainStack, path) -> None:
-    """Write a stack as plain text: '# key: value' header, one boundary per line."""
-    lines = [
-        f"# kind: {stack.kind}",
-        f"# n_domains: {stack.n_domains}",
-        f"# base_length_m: {stack.base_length!r}",
-        f"# sigma_m: {stack.sigma!r}",
-        f"# zeta_per_m2: {stack.zeta!r}",
-        f"# seed: {stack.seed if stack.seed is not None else ''}",
-        f"# rejected_draws: {stack.rejected_draws}",
-    ]
-    lines += [repr(float(z)) for z in stack.boundaries]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_stack(path) -> DomainStack:
-    """Read a stack written by save_stack."""
-    meta = {}
-    boundaries = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-        else:
-            boundaries.append(float(line))
-    seed = meta.get("seed", "")
-    return DomainStack(
-        np.asarray(boundaries),
-        base_length=float(meta["base_length_m"]),
-        kind=meta["kind"],
-        sigma=float(meta.get("sigma_m", 0.0)),
-        zeta=float(meta.get("zeta_per_m2", 0.0)),
-        seed=int(seed) if seed else None,
-        rejected_draws=int(meta.get("rejected_draws", 0)),
-    )

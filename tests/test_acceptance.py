@@ -61,7 +61,7 @@ from poledspdc import (
     trace_fwhm,
     two_photon_amplitude,
 )
-from poledspdc.spectra import integrated_density, mismatch_on_grid
+from poledspdc.spectra import mismatch_on_grid
 from poledspdc.structure import shifted
 
 from series_erf import erf_series
@@ -127,8 +127,8 @@ def test_criterion_02_linear_rate_scaling(model, pump, acc):
     checks = []
     for sigma in sigmas:
         analytic = np.array([
-            integrated_density(spectral_density(
-                grid_r2, pump, model, RandomEnsembleSource(n_domains=n, sigma=sigma)))
+            pair_rate(spectral_density(
+                grid_r2, pump, model, RandomEnsembleSource(n_domains=n, sigma=sigma))).pair_rate
             for n in counts
         ])
         r2 = linear_r2(counts, analytic)
@@ -142,8 +142,8 @@ def test_criterion_02_linear_rate_scaling(model, pump, acc):
         m = 1000 if sigma > 0 else 8
         worst = 0.0
         for n in counts:
-            reference = integrated_density(spectral_density(
-                grid_mc, pump, model, RandomEnsembleSource(n_domains=n, sigma=sigma)))
+            reference = pair_rate(spectral_density(
+                grid_mc, pump, model, RandomEnsembleSource(n_domains=n, sigma=sigma))).pair_rate
             spec = EnsembleSpec(m, 987_000 + n, n, sigma, acc["l0"])
             est = run_ensemble(spec, "pair_rate", model=model, grid=grid_mc, pump=pump,
                                n_workers=2)
@@ -366,7 +366,7 @@ def test_criterion_09_temporal_window(model, pump, acc):
     g = coupling_g(grid.omega, grid.idler(pump.omega_p0), model)
     closed = f_chirped(mismatch_on_grid(grid, pump, model), N_DOMAINS, l0, zeta / dk0)
     amplitudes["closed form"] = TwoPhotonAmplitude(
-        grid, g * np.sqrt(pump.amplitude_sq) * closed.value)
+        grid, g * np.sqrt(pump.power) * closed.value)
     widths = {}
     for name, amplitude in amplitudes.items():
         for mode in ("ideal", "quadratic"):
@@ -446,7 +446,7 @@ def test_criterion_10_property_suites(model, pump, acc):
         rates, widths = [], []
         for g in (coarse, fine):
             density = spectral_density(g, pump, model, source)
-            rates.append(integrated_density(density))
+            rates.append(pair_rate(density).pair_rate)
             widths.append(fwhm(signal_spectrum(density)).width_omega)
         worst_rate = max(worst_rate, abs(rates[1] - rates[0]) / rates[0])
         worst_width = max(worst_width, abs(widths[1] - widths[0]) / widths[0])

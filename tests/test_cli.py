@@ -84,12 +84,12 @@ class TestL0:
         assert "error" in capsys.readouterr().err
 
     def test_explicit_sellmeier_coefficients_are_config_error(self, capsys):
-        # the CLI takes a registered fit name only: explicit coefficients
-        # need a wavelength range, which RunConfig does not carry
+        # the CLI takes a registered fit name only; other fits go through
+        # the DispersionModel constructor
         coefficients = ("5.35583,0.100473,0.20692,100,11.34927,"
                         "1.5334e-2,4.629e-7,3.862e-8,-0.89e-8,2.657e-5")
         assert main(["l0", "--sellmeier", coefficients]) == EXIT_CONFIG
-        assert "explicit coefficients require" in capsys.readouterr().err
+        assert "must name a registered fit" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "poledspdc.cli", "l0"],
@@ -176,6 +176,13 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--config", str(tmp_path / "nope.ini")])
         assert code == EXIT_CONFIG
 
+    def test_nan_disorder_is_numeric_error(self, tmp_path, capsys):
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "random", *FAST,
+                     "--sigma", "nan"])
+        assert code == EXIT_NUMERIC
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestFig1:
     def test_rates_and_ordering(self, tmp_path):
@@ -206,6 +213,12 @@ class TestFig1:
     def test_empty_scan_is_config_error(self, tmp_path, capsys):
         code = main(["fig1", "--outdir", str(tmp_path), "--n-domains-scan", ","])
         assert code == EXIT_CONFIG
+
+    def test_non_integer_domain_counts_are_config_error(self, tmp_path, capsys):
+        code = main(["fig1", "--outdir", str(tmp_path), *FAST, "--n-domains-scan", "1.5,2.7"])
+        assert code == EXIT_CONFIG
+        assert "integers" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.csv").exists()
 
 
 class TestFig2:
@@ -266,6 +279,15 @@ class TestHomSumfreqMc:
         assert code == EXIT_OK
         _, columns = read_csv(tmp_path / "hom.csv")
         assert abs(columns["rn"][columns["rn"].size // 2]) < 1e-10
+
+    @pytest.mark.parametrize("step", [["--delay-step", "0"], ["--delay-step=-1e-15"]],
+                             ids=["zero", "negative"])
+    def test_bad_delay_axis_is_config_error(self, tmp_path, capsys, step):
+        code = main(["hom", "--outdir", str(tmp_path), *FAST, *step])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "delay span and step" in err and "Traceback" not in err
+        assert not (tmp_path / "hom.csv").exists()
 
     def test_sumfreq_command_modes(self, tmp_path):
         for mode in ("none", "ideal", "quadratic"):

@@ -124,16 +124,6 @@ class TestConfigLoading:
         n_b = refractive_index(model, omega_of(1.55e-6))
         assert n_a == n_b
 
-    def test_explicit_coefficients(self):
-        coeffs = ",".join(str(v) for v in congruent_linbo3_extraordinary().coefficients)
-        loaded = model_from_mapping({
-            "sellmeier": coeffs,
-            "wavelength_min_m": "0.4e-6",
-            "wavelength_max_m": "5e-6",
-        })
-        assert loaded.name == "custom"
-        assert refractive_index(loaded, omega_of(1.55e-6)) == pytest.approx(2.13786, abs=5e-6)
-
     def test_unknown_fit_rejected(self):
         with pytest.raises(ValueError):
             model_from_mapping({"sellmeier": "unobtainium"})

@@ -100,9 +100,11 @@ class TestRunEnsemble:
         assert err.value.index == 7
         assert err.value.seed == child_seed(777, 7)
 
-    def test_named_observable_requires_context(self, small_spec):
+    def test_named_observable_requires_context(self, small_spec, model, grid_small):
         with pytest.raises(ValueError):
             run_ensemble(small_spec, "spectrum")
+        with pytest.raises(ValueError, match="pump"):
+            run_ensemble(small_spec, "spectrum", model=model, grid=grid_small)
 
     def test_unknown_observable_rejected(self, small_spec):
         with pytest.raises(ValueError):

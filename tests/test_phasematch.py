@@ -125,9 +125,10 @@ class TestFBoundarySum:
 
 class TestFAvgSq:
     def test_rejects_nonpositive_sigma(self):
-        # sigma = 0 is the periodic limit; only a negative sigma is rejected
-        with pytest.raises(ValueError, match="sigma"):
-            f_avg_sq(at_detuning(0.0), 100, L0, -1e-9)
+        # sigma = 0 is the periodic limit; a negative or NaN sigma is rejected
+        for sigma in (-1e-9, np.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                f_avg_sq(at_detuning(0.0), 100, L0, sigma)
         assert f_avg_sq(at_detuning(0.0), 100, L0, 0.0) == pytest.approx(
             (2 * 100 / DK0) ** 2, rel=1e-12)
 

@@ -26,7 +26,7 @@ from poledspdc import (
     symmetric_grid,
 )
 from poledspdc import phasematch, spectra
-from poledspdc.spectra import half_max_interval, integrated_density, mismatch_on_grid
+from poledspdc.spectra import half_max_interval, mismatch_on_grid
 
 SINC_HALF_MAX = 1.3915573782515105   # sin(x)/x = 1/sqrt(2)
 
@@ -143,6 +143,11 @@ class TestSpectralDensity:
         b = spectral_density(grid_small, pump, model, stack).values
         assert np.max(np.abs(a - b)) <= 1e-10 * b.max()
 
+    @pytest.mark.parametrize("power", [0.0, -0.1, np.nan])
+    def test_nonpositive_or_nan_pump_power_rejected(self, power):
+        with pytest.raises(ValueError, match="pump power"):
+            PumpSpec(omega_p0=2 * np.pi * c / 775e-9, power=power)
+
     def test_negative_sigma_source_rejected(self, model, pump, grid_small):
         source = RandomEnsembleSource(n_domains=500, sigma=-1e-9)
         with pytest.raises(ValueError, match="sigma must be >= 0"):
@@ -247,7 +252,7 @@ class TestRatesAndCalibration:
 
     def test_calibration_idempotent(self, model, pump, grid_mid, calibration, l0):
         density = spectral_density(grid_mid, pump, model, build_periodic(2000, l0))
-        raw = integrated_density(density)
+        raw = pair_rate(density).pair_rate
         again = 2e7 / raw
         assert again == pytest.approx(calibration, rel=1e-12)
 
@@ -318,10 +323,10 @@ class TestRateRatio:
         # zeta = 0 takes the general chirped path, which must land on the
         # periodic stack bit for bit
         sigma = 2.3e-6
-        random_rate = integrated_density(spectral_density(
-            grid_mid, pump, model, RandomEnsembleSource(n_domains=2000, sigma=sigma)))
-        periodic_rate = integrated_density(spectral_density(
-            grid_mid, pump, model, build_periodic(2000, l0)))
+        random_rate = pair_rate(spectral_density(
+            grid_mid, pump, model, RandomEnsembleSource(n_domains=2000, sigma=sigma))).pair_rate
+        periodic_rate = pair_rate(spectral_density(
+            grid_mid, pump, model, build_periodic(2000, l0))).pair_rate
         ratio = rate_ratio(0.0, 2000, model, grid_mid, pump, sigma=sigma)
         assert ratio == random_rate / periodic_rate
 
@@ -335,7 +340,7 @@ class TestGridRefinement:
             rates, widths = [], []
             for grid in (coarse, fine):
                 density = spectral_density(grid, pump, model, source)
-                rates.append(integrated_density(density))
+                rates.append(pair_rate(density).pair_rate)
                 widths.append(fwhm(signal_spectrum(density)).width_omega)
             assert abs(rates[1] - rates[0]) / rates[0] < 0.005
             assert abs(widths[1] - widths[0]) / widths[0] < 0.005

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from poledspdc import (
+    DomainStack,
     StackConstructionError,
     build_chirped,
     build_periodic,
     build_random,
-    load_stack,
-    save_stack,
 )
 from poledspdc.structure import shifted
 
@@ -40,6 +39,12 @@ class TestRandom:
     def test_negative_sigma_rejected(self):
         with pytest.raises(StackConstructionError):
             build_random(10, L0, -1e-6, seed=0)
+        with pytest.raises(StackConstructionError):
+            build_random(10, L0, np.nan, seed=0)
+
+    def test_nan_boundary_rejected(self):
+        with pytest.raises(StackConstructionError, match="index 1"):
+            DomainStack(np.array([0.0, np.nan, 2 * L0]), L0, "random")
 
     def test_same_seed_bit_identical(self):
         a = build_random(500, L0, 2e-6, seed=123)
@@ -124,27 +129,6 @@ class TestChirped:
     def test_starts_at_origin(self):
         stack = build_chirped(2000, L0, 1e6, np.pi / L0)
         assert stack.boundaries[0] == 0.0
-
-
-class TestSerialization:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        stack = build_random(300, L0, 1.5e-6, seed=2024)
-        path = tmp_path / "stack.txt"
-        save_stack(stack, path)
-        loaded = load_stack(path)
-        assert np.array_equal(loaded.boundaries, stack.boundaries)
-        assert loaded.kind == stack.kind
-        assert loaded.sigma == stack.sigma
-        assert loaded.seed == stack.seed
-        assert loaded.rejected_draws == stack.rejected_draws
-
-    def test_header_is_self_describing(self, tmp_path):
-        stack = build_chirped(10, L0, 1e5, np.pi / L0)
-        path = tmp_path / "stack.txt"
-        save_stack(stack, path)
-        text = path.read_text()
-        assert "# kind: chirped" in text
-        assert "# n_domains: 10" in text
 
 
 def test_shifted_copy_preserves_gaps():
