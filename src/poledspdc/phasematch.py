@@ -19,6 +19,7 @@ from math import factorial
 
 import numpy as np
 from scipy.special import erf as _scipy_erf
+from scipy.special import i0 as _scipy_i0
 
 from .dispersion import PhaseMismatch
 
@@ -39,8 +40,12 @@ __all__ = [
 BOUNDARY_SUM_MIN_MISMATCH = 1e-3
 # cerf is validated where exp(-z^2) cannot overflow: Im(z)^2 - Re(z)^2 <= bound.
 CERF_REGION_BOUND = 650.0
-# Boundary-sum evaluation is chunked to bound the (boundaries x mismatch) matrix.
+# Boundary sums are chunked to bound the (boundaries x mismatch) matrix and the
+# (mismatch x kernel width) resampling arrays.
 _CHUNK_ELEMENTS = 8_000_000
+# Resampling kernel of _resampled_boundary_sum: width in nodes and shape.
+_KB_WIDTH = 14
+_KB_BETA = 0.75 * np.pi * _KB_WIDTH
 
 
 class NumericalDomainError(ValueError):
@@ -75,6 +80,42 @@ def _signed_boundary_sum(boundaries: np.ndarray, dk: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resampled_boundary_sum(boundaries: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    """sum_j (-1)^j exp(i dk z_j) through its band limit (a type-3 NUFFT).
+
+    About the midpoint c the frequencies u_j = z_j - c lie in [-L/2, L/2],
+    so the sum is sampled on the uniform nodes k_n = n h, h = pi/L (2x
+    oversampled), each weight divided by the Kaiser-Bessel transform
+    2a sinh(s)/s, s = sqrt(beta^2 - (a u_j)^2), and resampled onto dk with
+    the kernel I0(beta sqrt(1 - x^2)), x = (dk - k_n)/a, on _KB_WIDTH nodes
+    of half-width a (Dutt & Rokhlin 1993; Barnett et al., FINUFFT 2019).
+    """
+    c = 0.5 * (boundaries[0] + boundaries[-1])
+    u = boundaries - c
+    h = np.pi / (boundaries[-1] - boundaries[0])
+    a = 0.5 * _KB_WIDTH * h
+    s = np.sqrt(_KB_BETA ** 2 - (a * u) ** 2)
+    weights = np.where(np.arange(u.size) % 2 == 0, 0.5, -0.5) * s / (a * np.sinh(s))
+    t = dk / h                                  # target positions in node units
+    first = np.floor(t.min() - 0.5 * _KB_WIDTH)
+    n_nodes = int(np.ceil(t.max() + 0.5 * _KB_WIDTH) - first) + 1
+    term, step = weights * np.exp(1j * (first * h) * u), np.exp(1j * h * u)
+    nodes = np.empty(n_nodes, dtype=complex)
+    for n in range(n_nodes):           # running product; np.cumprod measured ~7x slower
+        nodes[n] = term.sum()
+        term *= step
+    t -= first
+    out = np.empty(dk.shape, dtype=complex)
+    chunk = _CHUNK_ELEMENTS // (4 * _KB_WIDTH)      # ~40 bytes per kernel weight
+    for i in range(0, t.size, chunk):
+        block = t[i:i + chunk, None]
+        index = np.floor(block - 0.5 * _KB_WIDTH).astype(int) + np.arange(1, _KB_WIDTH + 1)
+        x = (block - index) / (0.5 * _KB_WIDTH)
+        kernel = _scipy_i0(_KB_BETA * np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+        out[i:i + chunk] = np.einsum("mn,mn->m", kernel, nodes[index])
+    return h * np.exp(1j * dk * c) * out
+
+
 def f_exact(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
     """Exact F: per-domain integrals summed over the stack.
 
@@ -82,11 +123,16 @@ def f_exact(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
     half-weight end corrections,
 
         F = (2i/dk) [ sum_j (-1)^j e^(i dk z_j)
-                      - (e^(i dk z_0) + (-1)^N e^(i dk z_N)) / 2 ] ,
+                      - (e^(i dk z_0) + (-1)^N e^(i dk z_N)) / 2 ] .
 
-    which is evaluated here (algebraically identical to the domain-by-domain
-    form, at half the cost).  Near dk = 0 each domain integral takes its
-    analytic limit, the signed domain-length sum.
+    On long vectors the boundary sum is evaluated on ~(span L / pi + 14)
+    uniform nodes and resampled (_resampled_boundary_sum), within ~1e-12 of
+    max|F| of the direct sum.  That path is taken when it costs less, at
+    2048 plus 32 per point plus 64 + (N+1)/32 per node against (N+1) per
+    point, in units of one complex exp, and when |dk| varies by less than
+    2x, as 2/|dk| amplifies its absolute error, ~1e-13 (N+1) in the sum.
+    Otherwise the sum is direct.  Near dk = 0 each domain integral takes
+    its analytic limit, the signed domain-length sum.
     """
     z = stack.boundaries
     dk = np.atleast_1d(np.asarray(mismatch.delta_k, dtype=float))
@@ -100,7 +146,13 @@ def f_exact(stack, mismatch: PhaseMismatch) -> PhaseMatchSample:
     regular = ~tiny
     if regular.any():
         dkr = dk[regular]
-        s = _signed_boundary_sum(z, dkr)
+        span = np.ptp(dkr)
+        n_nodes = span * stack.total_length / np.pi + _KB_WIDTH
+        if (2048 + 32 * dkr.size + n_nodes * (64 + z.size / 32) < z.size * dkr.size
+                and span < np.abs(dkr).min()):
+            s = _resampled_boundary_sum(z, dkr)
+        else:
+            s = _signed_boundary_sum(z, dkr)
         ends = 0.5 * (np.exp(1j * dkr * z[0])
                       + (-1.0) ** stack.n_domains * np.exp(1j * dkr * z[-1]))
         value[regular] = (2j / dkr) * (s - ends)

@@ -69,6 +69,8 @@ class PumpSpec:
     power: float
 
     def __post_init__(self):
+        if not 0.0 < self.omega_p0 < np.inf:
+            raise ValueError("pump frequency must be positive and finite")
         if not self.power > 0.0:
             raise ValueError("pump power must be positive")
 
@@ -120,7 +122,7 @@ def symmetric_grid(omega_p0: float,
     beyond it, lambda_max has no effect.  At the 775 nm pump the default
     window (1.0, 2.6) um gives a grid spanning 1.0-3.44 um.
     """
-    if lambda_min >= lambda_max:
+    if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be below lambda_max")
     if n_samples < 4:
         raise ValueError("n_samples must be at least 4")
@@ -128,7 +130,7 @@ def symmetric_grid(omega_p0: float,
     omega_hi = max(2.0 * np.pi * C_VACUUM / lambda_min,
                    omega_p0 - 2.0 * np.pi * C_VACUUM / lambda_max)
     half = omega_hi - center
-    if half <= 0.0:
+    if not half > 0.0:
         raise ValueError("window does not bracket the degenerate frequency")
     step = 2.0 * half / (n_samples - 1)
     k = np.arange(n_samples, dtype=float)

@@ -77,8 +77,8 @@ class DomainStack:
 def _check_common(n_domains: int, l0: float) -> None:
     if n_domains < 1:
         raise StackConstructionError(f"n_domains must be >= 1, got {n_domains}")
-    if l0 <= 0.0:
-        raise StackConstructionError(f"l0 must be positive, got {l0}")
+    if not 0.0 < l0 < np.inf:
+        raise StackConstructionError(f"l0 must be positive and finite, got {l0}")
 
 
 def build_periodic(n_domains: int, l0: float) -> DomainStack:

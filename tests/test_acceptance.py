@@ -25,8 +25,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.constants import c as C_VACUUM
-from scipy.integrate import trapezoid
 
 from poledspdc import (
     ChirpedSource,
@@ -40,9 +38,7 @@ from poledspdc import (
     calibrate,
     cerf,
     compensate_phase,
-    congruent_linbo3_extraordinary,
     coupling_g,
-    default_pump,
     f_avg_sq,
     f_chirped,
     f_exact,

@@ -83,6 +83,11 @@ class TestL0:
         assert main(["l0", "--pump-wavelength", "10.2e-6"]) == EXIT_NUMERIC
         assert "error" in capsys.readouterr().err
 
+    def test_nan_pump_wavelength_is_config_error(self, capsys):
+        assert main(["l0", "--pump-wavelength", "nan"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "pump frequency" in captured.err and "l0 =" not in captured.out
+
     def test_explicit_sellmeier_coefficients_are_config_error(self, capsys):
         # the CLI takes a registered fit name only; other fits go through
         # the DispersionModel constructor
@@ -181,6 +186,22 @@ class TestSpectrumCommand:
                      "--sigma", "nan"])
         assert code == EXIT_NUMERIC
         assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_nan_grid_window_is_config_error(self, tmp_path, capsys):
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST,
+                     "--lambda-min", "nan"])
+        assert code == EXIT_CONFIG
+        assert "lambda_min" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--l0", "nan"], ["--l0", "inf"],
+                                      ["--temperature-k", "nan"]],
+                             ids=["l0-nan", "l0-inf", "temperature-nan"])
+    def test_non_finite_l0_is_named(self, tmp_path, capsys, flag):
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST, *flag])
+        assert code == EXIT_NUMERIC
+        assert "l0 must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
 

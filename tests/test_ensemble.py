@@ -9,12 +9,10 @@ from poledspdc import (
     build_periodic,
     child_seed,
     convergence_report,
-    f_avg_sq,
     realization_stack,
     run_ensemble,
     spectral_density,
 )
-from poledspdc.spectra import mismatch_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +83,14 @@ class TestRunEnsemble:
             assert np.array_equal(estimates[0].mean, other.mean)
             assert np.array_equal(estimates[0].stderr, other.stderr)
 
+    def test_bit_reproducible_on_the_resampled_path(self, model, pump, grid_mid, l0):
+        # N = 2000 on 2^12 points takes f_exact's resampled boundary sum
+        spec = EnsembleSpec(n_realizations=4, base_seed=13, n_domains=2000, sigma=2e-6, l0=l0)
+        one, two = (run_ensemble(spec, "spectrum", model=model, grid=grid_mid, pump=pump,
+                                 n_workers=w) for w in (1, 2))
+        assert np.array_equal(one.mean, two.mean)
+        assert np.array_equal(one.stderr, two.stderr)
+
     def test_custom_callable_observable(self, small_spec):
         est = run_ensemble(small_spec, lambda stack: stack.total_length)
         assert est.mean == pytest.approx(small_spec.n_domains * small_spec.l0, rel=1e-3)
@@ -131,7 +137,6 @@ class TestRunEnsemble:
 
     def test_rate_scaling_with_domain_count(self, model, pump, grid_small, l0, dk0):
         # mean pair rate grows linearly in the domain count
-        from poledspdc import mismatch_from_detuning
         counts = [200, 400, 800]
         means = []
         for n in counts:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from poledspdc import (
-    ChirpedSource,
     PhaseUnavailableError,
     PhaseUnwrapError,
     RandomEnsembleSource,

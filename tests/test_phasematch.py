@@ -14,7 +14,9 @@ from poledspdc import (
     f_chirped_envelope,
     f_exact,
     mismatch_from_detuning,
+    symmetric_grid,
 )
+from poledspdc import phasematch
 from poledspdc.spectra import mismatch_on_grid
 from poledspdc.structure import shifted
 
@@ -92,6 +94,101 @@ class TestFExact:
         base = abs(f_exact(stack, mm).value)
         moved = abs(f_exact(shifted(stack, offset), mm).value)
         assert moved == pytest.approx(base, rel=1e-9)
+
+
+def domain_sum(stack, dk):
+    """Dense reference: sum_n (-1)^n (e^(i dk z_(n+1)) - e^(i dk z_n)) / (i dk)."""
+    signs = (-1.0) ** np.arange(stack.n_domains)
+    out = np.empty(dk.size, dtype=complex)
+    for i in range(0, dk.size, 256):
+        block = dk[i:i + 256]
+        phases = np.exp(1j * np.multiply.outer(block, stack.boundaries))
+        out[i:i + 256] = np.diff(phases, axis=1) @ signs / (1j * block)
+    return out
+
+
+def stack_of(kind, n):
+    if kind == "periodic":
+        return build_periodic(n, L0)
+    if kind == "random":
+        return build_random(n, L0, 2e-6, seed=n)
+    return build_chirped(n, L0, 1e6, DK0)
+
+
+@pytest.fixture(scope="module")
+def grid_mismatch(model, pump):
+    return {e: mismatch_on_grid(symmetric_grid(pump.omega_p0, n_samples=2 ** e, model=model),
+                                pump, model) for e in (8, 10, 12, 14)}
+
+
+def gap_to_dense(stack, mismatch, max_points=1024):
+    """max |f_exact - dense| / max |dense| on up to max_points of the vector."""
+    stride = max(1, mismatch.delta_k.size // max_points)
+    got = f_exact(stack, mismatch).value[::stride]
+    reference = domain_sum(stack, mismatch.delta_k[::stride])
+    return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
+
+
+class TestResampledBoundarySum:
+    """f_exact's resampled boundary sum against the dense forms, gated at 1e-10."""
+
+    @pytest.mark.parametrize("exponent", [8, 10, 12, 14])
+    @pytest.mark.parametrize("n", [1, 7, 250, 2000, 4000])
+    @pytest.mark.parametrize("kind", ["periodic", "random", "chirped"])
+    def test_matches_dense_on_grids(self, grid_mismatch, kind, n, exponent):
+        stack, mismatch = stack_of(kind, n), grid_mismatch[exponent]
+        assert gap_to_dense(stack, mismatch) <= 1e-10
+        # the kernel itself, also where f_exact keeps the direct sum (small N)
+        dk = mismatch.delta_k
+        stride = max(1, dk.size // 1024)
+        got = phasematch._resampled_boundary_sum(stack.boundaries, dk)[::stride]
+        direct = phasematch._signed_boundary_sum(stack.boundaries, dk[::stride])
+        assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    def test_shifted_stack(self, grid_mismatch):
+        stack = shifted(build_random(2000, L0, 2e-6, seed=5), 1e-3)
+        assert gap_to_dense(stack, grid_mismatch[12]) <= 1e-10
+
+    def test_unsorted_mismatch(self, grid_mismatch):
+        stack = build_random(2000, L0, 2e-6, seed=6)
+        mm = grid_mismatch[12]
+        order = np.random.default_rng(0).permutation(mm.delta_k.size)
+        shuffled = mismatch_from_detuning(mm.delta_k0, mm.delta_k_small[order])
+        assert gap_to_dense(stack, shuffled) <= 1e-10
+        sorted_value = f_exact(stack, mm).value[order]
+        assert np.allclose(f_exact(stack, shuffled).value, sorted_value,
+                           rtol=0.0, atol=1e-10 * np.abs(sorted_value).max())
+
+    def test_vector_with_zero_mismatch(self, grid_mismatch):
+        stack = build_random(2000, L0, 2e-6, seed=7)
+        mm = grid_mismatch[12]
+        with_zero = mismatch_from_detuning(mm.delta_k0, np.append(mm.delta_k_small, -mm.delta_k0))
+        value = f_exact(stack, with_zero).value
+        signed = ((-1.0) ** np.arange(stack.n_domains) * stack.domain_lengths).sum()
+        assert value[-1] == pytest.approx(signed, rel=1e-12)
+        reference = domain_sum(stack, mm.delta_k)
+        assert np.max(np.abs(value[:-1] - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    def test_window_reaching_zero_mismatch(self):
+        # 2/dk would amplify the resampling error near dk = 0; such vectors
+        # keep the direct sum
+        stack = build_periodic(250, L0)
+        near_zero = at_detuning(np.linspace(-DK0, -0.8 * DK0, 1024)[1:])
+        assert gap_to_dense(stack, near_zero) <= 1e-10
+
+    def test_both_sides_of_the_crossover(self, grid_mismatch, monkeypatch):
+        # N = 2000 on the default span: ~196 nodes, crossover near 14 points
+        calls = []
+        resampled = phasematch._resampled_boundary_sum
+        monkeypatch.setattr(phasematch, "_resampled_boundary_sum",
+                            lambda z, dk: calls.append(dk.size) or resampled(z, dk))
+        stack = build_random(2000, L0, 2e-6, seed=8)
+        dk = grid_mismatch[12].delta_k
+        for size in (6, 10, 16, 32):
+            points = np.linspace(dk.min(), dk.max(), size)
+            mm = mismatch_from_detuning(DK0, points - DK0)
+            assert gap_to_dense(stack, mm) <= 1e-10
+        assert calls == [16, 32]
 
 
 class TestFBoundarySum:

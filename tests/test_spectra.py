@@ -12,7 +12,6 @@ from poledspdc import (
     RandomEnsembleSource,
     Spectrum,
     WavelengthRangeError,
-    build_chirped,
     build_periodic,
     build_random,
     calibrate,
