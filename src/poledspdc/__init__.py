@@ -23,7 +23,6 @@ from .structure import (
 from .phasematch import (
     NumericalDomainError,
     PhaseMatchSample,
-    cerf,
     f_avg_sq,
     f_boundary_sum,
     f_chirped,
@@ -61,7 +60,6 @@ from .interference import (
     default_hom_delays,
     hom_trace,
     sum_frequency_trace,
-    trace_fwhm,
     two_photon_amplitude,
 )
 from .ensemble import (
@@ -71,6 +69,5 @@ from .ensemble import (
     RealizationError,
     child_seed,
     convergence_report,
-    realization_stack,
     run_ensemble,
 )

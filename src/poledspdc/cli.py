@@ -73,7 +73,6 @@ class RunConfig:
     zeta_per_m2: float = _field(1e6, "structure", "zeta_per_m2", "--zeta")
     seed: int = _field(12345, "structure", "seed", "--seed")
     lambda_min_m: float = _field(1.0e-6, "grid", "lambda_min_m", "--lambda-min")
-    lambda_max_m: float = _field(2.6e-6, "grid", "lambda_max_m", "--lambda-max")
     n_samples: int = _field(16384, "grid", "n_samples", "--n-samples")
     n_realizations: int = _field(1000, "ensemble", "n_realizations", "--n-realizations")
     base_seed: int = _field(424242, "ensemble", "base_seed", "--base-seed")
@@ -145,7 +144,7 @@ def _context(args, need_grid: bool = True) -> Context:
     grid = None
     if need_grid:
         grid = spectra.symmetric_grid(pump.omega_p0, config.lambda_min_m,
-                                      config.lambda_max_m, config.n_samples, model=model)
+                                      config.n_samples, model=model)
     delta_k0 = float(np.pi / base_l0)
     outdir = Path(config.directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +181,7 @@ def _matched_disorder(args, ctx: Context):
     sigma = args.sigma_m
     if sigma is None:
         sigma = spectra.sigma_for_zeta(config.zeta_per_m2, config.n_domains,
-                                       ctx.model, ctx.grid, ctx.pump)
+                                       ctx.model, ctx.grid, ctx.pump, l0=ctx.l0)
     return sigma, {"sigma_m": sigma, "zeta_per_m2": config.zeta_per_m2,
                    "n_domains": config.n_domains, "seed": config.seed,
                    "base_seed": config.base_seed, "n_realizations": config.n_realizations}
@@ -283,14 +282,14 @@ def cmd_fig2(args) -> int:
     n_domains = ctx.config.n_domains
     rows = []
     for zeta in zetas:
-        chirp_env = spectra.ChirpedSource(n_domains=n_domains, zeta=zeta, envelope=True)
+        chirp_env = spectra.ChirpedSource(n_domains=n_domains, zeta=zeta, l0=ctx.l0)
         s_chirp = spectra.signal_spectrum(
             spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, chirp_env))
         width = spectra.fwhm(s_chirp)
-        sigma = spectra.sigma_for_zeta(zeta, n_domains, ctx.model, ctx.grid, ctx.pump)
+        sigma = spectra.sigma_for_zeta(zeta, n_domains, ctx.model, ctx.grid, ctx.pump, l0=ctx.l0)
         stack = structure.build_chirped(n_domains, ctx.l0, zeta, ctx.delta_k0)
         rate_chirp = _pair_rate(ctx, stack, calibration)
-        rate_random = _pair_rate(ctx, spectra.RandomEnsembleSource(n_domains, sigma), calibration)
+        rate_random = _pair_rate(ctx, _source(ctx, "ensemble", sigma), calibration)
         rows.append((zeta, width.width_omega, width.width_wavelength, sigma,
                      rate_chirp, rate_random, rate_random / rate_chirp))
     names = ("zeta_per_m2", "fwhm_chirp_omega_rad_s", "fwhm_chirp_wavelength_m",
@@ -306,7 +305,7 @@ def cmd_fig3(args) -> int:
     sigma, meta = _matched_disorder(args, ctx)
     sources = (_source(ctx, "random", sigma),
                spectra.ChirpedSource(n_domains=ctx.config.n_domains,
-                                     zeta=ctx.config.zeta_per_m2, envelope=True),
+                                     zeta=ctx.config.zeta_per_m2, l0=ctx.l0),
                _source(ctx, "ensemble", sigma))
     densities = [spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, s) for s in sources]
     densities.append(spectra.Spectrum(ctx.grid, _ensemble(ctx, "spectrum", sigma).mean))

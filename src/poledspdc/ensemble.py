@@ -23,7 +23,6 @@ __all__ = [
     "ConvergenceReport",
     "RealizationError",
     "child_seed",
-    "realization_stack",
     "run_ensemble",
     "convergence_report",
 ]
@@ -80,11 +79,6 @@ def child_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def realization_stack(spec: EnsembleSpec, index: int) -> structure.DomainStack:
-    return structure.build_random(spec.n_domains, spec.l0, spec.sigma,
-                                  child_seed(spec.base_seed, index))
-
-
 def _make_estimator(observable, model, grid, pump, delays, compensation, calibration):
     if callable(observable):
         return observable
@@ -131,10 +125,12 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
                                 compensation, calibration)
 
     def one(index):
+        seed = child_seed(spec.base_seed, index)
         try:
-            return np.asarray(estimator(realization_stack(spec, index)), dtype=float)
+            stack = structure.build_random(spec.n_domains, spec.l0, spec.sigma, seed)
+            return np.asarray(estimator(stack), dtype=float)
         except Exception as exc:
-            raise RealizationError(index, child_seed(spec.base_seed, index), exc) from exc
+            raise RealizationError(index, seed, exc) from exc
 
     # Chunked, index-ordered accumulation bounds memory for curve-valued
     # observables and keeps the reduction order independent of n_workers.

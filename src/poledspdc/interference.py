@@ -22,7 +22,7 @@ from scipy.integrate import trapezoid
 
 from . import phasematch, spectra
 from .dispersion import DispersionModel
-from .spectra import PumpSpec, SpectralGrid, half_max_interval
+from .spectra import PumpSpec, SpectralGrid
 from .structure import DomainStack
 
 __all__ = [
@@ -37,10 +37,8 @@ __all__ = [
     "compensate_phase",
     "sum_frequency_trace",
     "fft_delay_axis",
-    "trace_fwhm",
 ]
 
-COMPENSATION_MODES = ("none", "ideal", "quadratic")
 # |Phi| below this fraction of the band maximum counts as a gap for unwrapping.
 UNWRAP_GAP_FRACTION = 1e-8
 
@@ -241,9 +239,3 @@ def fft_delay_axis(grid: SpectralGrid, pad_factor: int = 16) -> np.ndarray:
     """Sorted delay axis of the FFT path of sum_frequency_trace."""
     n = grid.omega.size * pad_factor
     return np.sort(2.0 * np.pi * np.fft.fftfreq(n, d=grid.step))
-
-
-def trace_fwhm(delays: np.ndarray, values: np.ndarray) -> float:
-    """FWHM of a temporal trace (outermost half-max crossings)."""
-    lo, hi = half_max_interval(np.asarray(delays), np.asarray(values))
-    return hi - lo

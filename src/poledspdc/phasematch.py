@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erf as _scipy_erf
 from scipy.special import i0 as _scipy_i0
 
-from .dispersion import PhaseMismatch
+from .dispersion import PhaseMismatch, mismatch_from_detuning
 
 __all__ = [
     "NumericalDomainError",
@@ -31,15 +31,11 @@ __all__ = [
     "f_avg_sq",
     "f_chirped",
     "f_chirped_envelope",
-    "cerf",
     "BOUNDARY_SUM_MIN_MISMATCH",
-    "CERF_REGION_BOUND",
 ]
 
 # f_boundary_sum carries a 1/dk artifact of the approximation; reject tiny dk.
 BOUNDARY_SUM_MIN_MISMATCH = 1e-3
-# cerf is validated where exp(-z^2) cannot overflow: Im(z)^2 - Re(z)^2 <= bound.
-CERF_REGION_BOUND = 650.0
 # Boundary sums are chunked to bound the (boundaries x mismatch) matrix and the
 # (mismatch x kernel width) resampling arrays.
 _CHUNK_ELEMENTS = 8_000_000
@@ -231,12 +227,15 @@ def f_chirped(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_prime: fl
 
         F = (2i/dk) e^(i q l0 N/2) e^(-i q^2/(4 dk zeta'))
             * sqrt(pi) / (2 sqrt(-i) sqrt(zeta' dk) l0)
-            * [ cerf(f(N)) - cerf(f(-N)) ] ,
+            * [ erf(f(N)) - erf(f(-N)) ] ,
 
         f(x) = (sqrt(-i)/2) (sqrt(zeta' dk) x l0 + q / sqrt(zeta' dk)) ,
 
-    with q the detuning from the degenerate mismatch.  The phase is quoted
-    for the unshifted chirp law; a rigid stack shift only rotates it.
+    with q = dk - pi/l0 the detuning from the stack's first-order
+    quasi-phase-matching point.  The erf arguments lie on the diagonal
+    Im f = -Re f, where exp(-f^2) has unit modulus, so erf cannot
+    overflow.  The phase is quoted for the unshifted chirp law; a rigid
+    stack shift only rotates it.
     Agrees with f_exact on the built stack to well below 1% over the
     phase-matched band at N ~ 2000.
     """
@@ -245,13 +244,14 @@ def f_chirped(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_prime: fl
     dk = np.asarray(mismatch.delta_k, dtype=float)
     if np.any(dk <= 0.0):
         raise NumericalDomainError("f_chirped requires delta_k > 0")
-    small = np.asarray(mismatch.delta_k_small, dtype=float)
+    # q = dk - pi/l0, taken from delta_k_small to keep its precision
+    q = np.asarray(mismatch.delta_k_small, dtype=float) - (np.pi / l0 - mismatch.delta_k0)
     root = np.sqrt(zeta_prime * dk)
-    upper = _SQRT_MINUS_I / 2.0 * (root * n_domains * l0 + small / root)
-    lower = _SQRT_MINUS_I / 2.0 * (-root * n_domains * l0 + small / root)
-    bracket = cerf(upper) - cerf(lower)
+    upper = _SQRT_MINUS_I / 2.0 * (root * n_domains * l0 + q / root)
+    lower = _SQRT_MINUS_I / 2.0 * (-root * n_domains * l0 + q / root)
+    bracket = _scipy_erf(upper) - _scipy_erf(lower)
     amplitude = (2j / dk) * np.sqrt(np.pi) / (2.0 * _SQRT_MINUS_I * root * l0)
-    phase = np.exp(1j * small * l0 * n_domains / 2.0 - 1j * small ** 2 / (4.0 * dk * zeta_prime))
+    phase = np.exp(1j * q * l0 * n_domains / 2.0 - 1j * q ** 2 / (4.0 * dk * zeta_prime))
     value = amplitude * phase * bracket
     return _sample(value, mismatch)
 
@@ -277,29 +277,9 @@ def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_
     grid = np.arange(lo, hi + step, step)
     # keep the internal grid in the dk > 0 domain of the closed form
     grid = grid[grid > -0.9 * dk0]
-    from .dispersion import mismatch_from_detuning
     raw = f_chirped(mismatch_from_detuning(dk0, grid), n_domains, l0, zeta_prime).abs_sq
     n_ker = max(3, int(round(width / step)) | 1)
     kernel = np.ones(n_ker) / n_ker
     smooth = np.convolve(raw, kernel, mode="same")
     out = np.interp(small, grid, smooth)
     return out if np.ndim(mismatch.delta_k_small) else float(out[0])
-
-
-def cerf(z):
-    """Error function for complex argument.
-
-    Validated where exp(-z^2) stays representable, i.e.
-    Im(z)^2 - Re(z)^2 <= CERF_REGION_BOUND; this covers the whole real axis,
-    the Fresnel ray arg z = -pi/4 at any magnitude, and |Im z| <= ~25
-    elsewhere.  Relative accuracy is at the 1e-13 level of the underlying
-    Faddeeva evaluation.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag ** 2 - z.real ** 2 > CERF_REGION_BOUND):
-        raise NumericalDomainError(
-            "cerf argument outside validated region Im(z)^2 - Re(z)^2 <= "
-            f"{CERF_REGION_BOUND:g}"
-        )
-    result = _scipy_erf(z)
-    return result if result.ndim else complex(result)

@@ -49,7 +49,7 @@ __all__ = [
 
 DEFAULT_PUMP_WAVELENGTH = 775e-9
 DEFAULT_PUMP_POWER = 0.1
-DEFAULT_WINDOW = (1.0e-6, 2.6e-6)
+DEFAULT_LAMBDA_MIN = 1.0e-6
 DEFAULT_SAMPLES = 2 ** 14
 REFERENCE_PAIR_RATE = 2e7          # pairs/s for the reference configuration
 REFERENCE_N_DOMAINS = 2000
@@ -110,28 +110,23 @@ class SpectralGrid:
 
 
 def symmetric_grid(omega_p0: float,
-                   lambda_min: float = DEFAULT_WINDOW[0],
-                   lambda_max: float = DEFAULT_WINDOW[1],
+                   lambda_min: float = DEFAULT_LAMBDA_MIN,
                    n_samples: int = DEFAULT_SAMPLES,
                    model: DispersionModel = None) -> SpectralGrid:
-    """Grid covering the signal window [lambda_min, lambda_max] and its
-    energy-conservation mirror, symmetric about omega_p/2.
+    """Grid from the signal edge lambda_min to its energy-conservation
+    mirror, symmetric about omega_p/2; lowering lambda_min widens it.
 
-    The half-width is set by whichever edge lies farther from omega_p/2, so
-    lambda_max can only widen the window: when the mirror of lambda_min lies
-    beyond it, lambda_max has no effect.  At the 775 nm pump the default
-    window (1.0, 2.6) um gives a grid spanning 1.0-3.44 um.
+    At the 775 nm pump the default 1.0 um edge gives a grid spanning
+    1.0-3.44 um.  lambda_min must be positive and finite and lie below
+    twice the pump wavelength, the degenerate wavelength.
     """
-    if not lambda_min < lambda_max:
-        raise ValueError("lambda_min must be below lambda_max")
+    center = omega_p0 / 2.0
+    half = 2.0 * np.pi * C_VACUUM / lambda_min - center if lambda_min > 0.0 else np.nan
+    if not 0.0 < half < np.inf:
+        raise ValueError(f"lambda_min must be positive and below twice the pump "
+                         f"wavelength, got {lambda_min!r}")
     if n_samples < 4:
         raise ValueError("n_samples must be at least 4")
-    center = omega_p0 / 2.0
-    omega_hi = max(2.0 * np.pi * C_VACUUM / lambda_min,
-                   omega_p0 - 2.0 * np.pi * C_VACUUM / lambda_max)
-    half = omega_hi - center
-    if not half > 0.0:
-        raise ValueError("window does not bracket the degenerate frequency")
     step = 2.0 * half / (n_samples - 1)
     k = np.arange(n_samples, dtype=float)
     omega = center + (k - (n_samples - 1) / 2.0) * step
@@ -298,20 +293,22 @@ def _width(source, grid, pump, model):
 
 
 def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
-                   grid: SpectralGrid, pump: PumpSpec, rtol: float = 1e-3) -> float:
+                   grid: SpectralGrid, pump: PumpSpec, rtol: float = 1e-3,
+                   l0: float = None) -> float:
     """Disorder parameter sigma whose ensemble signal spectrum has the same
-    width as the chirped spectrum at the given chirp parameter.
+    width as the chirped spectrum at the given chirp parameter, both stacks
+    at domain length l0 (default: the base domain length).
 
     Brent's method solves log(width(sigma) / target) = 0 in log sigma over
     SIGMA_BRACKET to within rtol / 2; the ensemble width is close to linear
     in sigma, so the widths then match within rtol.  Raises NoSolutionError
     when the target is not bracketed or the solver does not converge.
     """
-    target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta), grid, pump, model)
+    target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta, l0=l0), grid, pump, model)
 
     @cache  # brentq starts by re-evaluating the two bracket ends checked below
     def width(log_sigma):
-        source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma))
+        source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma), l0=l0)
         return _width(source, grid, pump, model)
 
     lo, hi = SIGMA_BRACKET

@@ -18,7 +18,6 @@ __all__ = [
     "build_periodic",
     "build_random",
     "build_chirped",
-    "shifted",
 ]
 
 
@@ -32,7 +31,6 @@ class DomainStack:
 
     Attributes:
         boundaries: strictly increasing positions z_0..z_N in meters.
-        base_length: nominal domain length l0 in meters.
         kind: one of 'periodic', 'random', 'chirped'.
         sigma: Gaussian declination parameter (random stacks), meters.
         zeta: chirp parameter (chirped stacks), 1/m^2.
@@ -41,7 +39,6 @@ class DomainStack:
     """
 
     boundaries: np.ndarray
-    base_length: float
     kind: str
     sigma: float = 0.0
     zeta: float = 0.0
@@ -85,7 +82,7 @@ def build_periodic(n_domains: int, l0: float) -> DomainStack:
     """Stack with z_n = n * l0 exactly."""
     _check_common(n_domains, l0)
     z = np.arange(n_domains + 1, dtype=float) * l0
-    return DomainStack(z, l0, "periodic")
+    return DomainStack(z, "periodic")
 
 
 def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainStack:
@@ -114,7 +111,7 @@ def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainSt
     z = np.empty(n_domains + 1)
     z[0] = 0.0
     np.cumsum(l0 + declinations, out=z[1:])
-    return DomainStack(z, l0, "random", sigma=sigma, seed=seed, rejected_draws=rejected)
+    return DomainStack(z, "random", sigma=sigma, seed=seed, rejected_draws=rejected)
 
 
 def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> DomainStack:
@@ -138,9 +135,4 @@ def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> Do
             f"chirp zeta={zeta:g} makes boundary {first} non-increasing; "
             f"|zeta| must stay below ~{np.pi / (l0 ** 2 * max(n_domains - 1, 1)):.3e} 1/m^2"
         )
-    return DomainStack(z, l0, "chirped", zeta=zeta)
-
-
-def shifted(stack: DomainStack, offset: float) -> DomainStack:
-    """Copy of the stack rigidly translated by offset (for invariance checks)."""
-    return replace(stack, boundaries=stack.boundaries + offset)
+    return DomainStack(z, "chirped", zeta=zeta)

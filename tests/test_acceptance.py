@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from poledspdc import (
     ChirpedSource,
@@ -36,7 +37,6 @@ from poledspdc import (
     build_periodic,
     build_random,
     calibrate,
-    cerf,
     compensate_phase,
     coupling_g,
     f_avg_sq,
@@ -54,12 +54,11 @@ from poledspdc import (
     spectral_density,
     sum_frequency_trace,
     symmetric_grid,
-    trace_fwhm,
     two_photon_amplitude,
 )
 from poledspdc.spectra import mismatch_on_grid
-from poledspdc.structure import shifted
 
+from helpers import shifted, trace_fwhm
 from series_erf import erf_series
 
 # The scan tops out at the anchor chirp 1e6 m^-2: beyond it the swept band
@@ -451,16 +450,17 @@ def test_criterion_10_property_suites(model, pump, acc):
     checks.append(("grid doubling moves FWHM < 0.5%", worst_width < 0.005,
                    f"max drift {worst_width * 100:.3f}%"))
 
-    # complex error function versus the exact-rational series oracle
+    # the complex error function f_chirped evaluates, versus the
+    # exact-rational series oracle
     rng = np.random.default_rng(7)
     radii = 4.0 * np.sqrt(rng.uniform(0, 1, 100))
     angles = rng.uniform(0, 2 * np.pi, 100)
-    worst_cerf = max(
-        abs(cerf(complex(z)) - erf_series(complex(z))) / max(abs(erf_series(complex(z))), 1e-30)
+    worst_erf = max(
+        abs(erf(complex(z)) - erf_series(complex(z))) / max(abs(erf_series(complex(z))), 1e-30)
         for z in radii * np.exp(1j * angles)
     )
-    checks.append(("cerf matches series oracle to 1e-10 on 100 points",
-                   worst_cerf < 1e-10, f"max relative deviation {worst_cerf:.2e}"))
+    checks.append(("complex erf matches series oracle to 1e-10 on 100 points",
+                   worst_erf < 1e-10, f"max relative deviation {worst_erf:.2e}"))
 
     # bit-reproducible ensembles across worker counts
     spec = EnsembleSpec(32, 2024, 300, 2e-6, l0)

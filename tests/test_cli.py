@@ -9,11 +9,15 @@ from scipy.constants import hbar
 from scipy.integrate import trapezoid
 
 from poledspdc import (
+    ChirpedSource,
+    RandomEnsembleSource,
     __version__,
     base_domain_length,
     build_periodic,
     ensemble,
+    fwhm,
     pair_rate,
+    signal_spectrum,
     spectral_density,
     symmetric_grid,
 )
@@ -56,7 +60,7 @@ NON_DEFAULT = RunConfig(
     sellmeier="2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0", temperature_k=931.0 / 3,
     pump_wavelength_m=0.1 * 7.7e-6, pump_power_w=0.1 + 0.2, kind="chirped", n_domains=777,
     l0_m=9.4 * 1.1e-6, sigma_m=1.7e-6 / 3, zeta_per_m2=3.3e5, seed=99, lambda_min_m=1.1e-6,
-    lambda_max_m=2.2e-6 / 3, n_samples=4096, n_realizations=17, base_seed=5,
+    n_samples=4096, n_realizations=17, base_seed=5,
     directory="some/dir", threads=3,
 )
 
@@ -122,14 +126,14 @@ class TestConfigTable:
         assert shared - {"-h", "--help"} == {
             "--config", "--outdir", "--threads", "--sellmeier", "--temperature-k",
             "--pump-wavelength", "--power", "--kind", "--n-domains", "--l0", "--sigma",
-            "--zeta", "--seed", "--lambda-min", "--lambda-max", "--n-samples",
+            "--zeta", "--seed", "--lambda-min", "--n-samples",
             "--n-realizations", "--base-seed",
         }
 
     def test_each_flag_sets_its_field(self, monkeypatch):
         monkeypatch.delenv("POLEDSPDC_OUTDIR", raising=False)
         flagged = [f for f in fields(RunConfig) if f.metadata["flag"]]
-        assert len(flagged) == 16
+        assert len(flagged) == 15
         for f in flagged:
             value = getattr(NON_DEFAULT, f.name)
             args = build_parser().parse_args(["spectrum", f.metadata["flag"], str(value)])
@@ -188,9 +192,11 @@ class TestSpectrumCommand:
         assert "sigma" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
-    def test_nan_grid_window_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lambda_min", ["nan", "0", "-1e-6", "inf", "1.6e-6"])
+    def test_nan_grid_window_is_config_error(self, tmp_path, capsys, lambda_min):
+        # the window edge must lie in (0, 2 lambda_p) = (0, 1.55 um)
         code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST,
-                     "--lambda-min", "nan"])
+                     f"--lambda-min={lambda_min}"])
         assert code == EXIT_CONFIG
         assert "lambda_min" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
@@ -253,6 +259,24 @@ class TestFig2:
         assert np.all(np.diff(columns["sigma_match_m"]) > 0)
         assert np.allclose(columns["rate_ratio"],
                            columns["rate_random"] / columns["rate_chirp"], rtol=1e-12)
+
+    def test_matches_widths_at_the_configured_l0(self, tmp_path, model, pump):
+        # the width match and both sources move with --l0, so random and
+        # chirped stacks of the same l0 keep comparable rates
+        code = main(["fig2", "--outdir", str(tmp_path), "--n-samples", "2048",
+                     "--n-domains", "400", "--zeta-scan", "5e5", "--l0", "9.6e-6"])
+        assert code == EXIT_OK
+        _, columns = read_csv(tmp_path / "fig2.csv")
+        grid = symmetric_grid(pump.omega_p0, n_samples=2048, model=model)
+
+        def width(source):
+            density = spectral_density(grid, pump, model, source)
+            return fwhm(signal_spectrum(density)).width_omega
+
+        target = width(ChirpedSource(n_domains=400, zeta=5e5, l0=9.6e-6))
+        matched = width(RandomEnsembleSource(400, columns["sigma_match_m"][0], l0=9.6e-6))
+        assert matched == pytest.approx(target, rel=1e-3)
+        assert 0.9 <= columns["rate_ratio"][0] <= 1.1
 
 
 class TestFig3:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from poledspdc import (
     build_periodic,
     child_seed,
     convergence_report,
-    realization_stack,
     run_ensemble,
     spectral_density,
 )
@@ -41,8 +42,11 @@ class TestChildSeeds:
         assert np.unique(draws).size == draws.size
 
     def test_realization_stack_uses_child_seed(self, small_spec):
-        stack = realization_stack(small_spec, 5)
-        assert stack.seed == child_seed(777, 5)
+        # realization i is the random stack drawn from child seed i
+        seeds = []
+        run_ensemble(replace(small_spec, n_realizations=6),
+                     lambda stack: seeds.append(stack.seed) or 0.0)
+        assert seeds == [child_seed(777, i) for i in range(6)]
 
 
 class TestRunEnsemble:

@@ -17,11 +17,12 @@ from poledspdc import (
     mean_abs_f_sq,
     spectral_density,
     sum_frequency_trace,
-    trace_fwhm,
     two_photon_amplitude,
 )
 from poledspdc.interference import fft_delay_axis
 from poledspdc.spectra import mismatch_on_grid, symmetric_grid
+
+from helpers import trace_fwhm
 
 # Delay rows per block of the dense oracles: 100 x 2^14 complex is 26 MB.
 ORACLE_BLOCK = 100

@@ -48,21 +48,23 @@ class TestGrid:
         assert lam.min() <= 1.0e-6 + 1e-12
         assert lam.max() >= 2.6e-6 - 1e-12
 
-    def test_lambda_max_only_widens_the_window(self, model, pump):
-        # the mirror of 1.0 um about the 775 nm pump lies at 3.44 um, beyond
-        # the default 2.6 um edge, so that edge sets nothing
+    def test_window_runs_from_lambda_min_to_its_mirror(self, model, pump):
+        # the mirror of 1.0 um about the 775 nm pump lies at 3.44 um
         grid = symmetric_grid(pump.omega_p0, model=model)
         assert grid.wavelengths[[0, -1]] == pytest.approx([3.444e-6, 1.0e-6], rel=1e-3)
-        narrower = symmetric_grid(pump.omega_p0, 1.0e-6, 2.0e-6, model=model)
-        assert np.array_equal(narrower.omega, grid.omega)
+        wider = symmetric_grid(pump.omega_p0, 0.95e-6, model=model)
+        assert wider.omega[0] < grid.omega[0] and wider.omega[-1] > grid.omega[-1]
 
     def test_rejects_window_outside_dispersion_range(self, model, pump):
+        # the mirror of 0.8 um lies at 24.8 um, beyond the 5.0 um end of the fit
         with pytest.raises(WavelengthRangeError):
-            symmetric_grid(pump.omega_p0, 0.80e-6, 2.6e-6, 256, model=model)
+            symmetric_grid(pump.omega_p0, 0.80e-6, 256, model=model)
 
     def test_rejects_degenerate_window(self, pump):
-        with pytest.raises(ValueError):
-            symmetric_grid(pump.omega_p0, 2.0e-6, 1.0e-6, 256)
+        # the window brackets omega_p/2 only for 0 < lambda_min < 2 lambda_p
+        for lambda_min in (2.0e-6, 1.6e-6, 0.0, -1e-6, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lambda_min"):
+                symmetric_grid(pump.omega_p0, lambda_min, 256)
 
 
 class TestCouplingG:

@@ -10,7 +10,6 @@ from poledspdc import (
     build_periodic,
     build_random,
 )
-from poledspdc.structure import shifted
 
 L0 = 9.515e-6
 
@@ -44,7 +43,7 @@ class TestRandom:
 
     def test_nan_boundary_rejected(self):
         with pytest.raises(StackConstructionError, match="index 1"):
-            DomainStack(np.array([0.0, np.nan, 2 * L0]), L0, "random")
+            DomainStack(np.array([0.0, np.nan, 2 * L0]), "random")
 
     def test_same_seed_bit_identical(self):
         a = build_random(500, L0, 2e-6, seed=123)
@@ -129,10 +128,3 @@ class TestChirped:
     def test_starts_at_origin(self):
         stack = build_chirped(2000, L0, 1e6, np.pi / L0)
         assert stack.boundaries[0] == 0.0
-
-
-def test_shifted_copy_preserves_gaps():
-    stack = build_random(50, L0, 1e-6, seed=4)
-    moved = shifted(stack, 3.2e-5)
-    assert np.allclose(moved.domain_lengths, stack.domain_lengths, rtol=1e-9)
-    assert moved.boundaries[0] == pytest.approx(3.2e-5)
