@@ -18,7 +18,6 @@ appear only at input/output boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.constants import c as C_VACUUM
@@ -28,7 +27,6 @@ __all__ = [
     "DispersionModel",
     "PhaseMismatch",
     "congruent_linbo3_extraordinary",
-    "model_from_mapping",
     "refractive_index",
     "delta_k",
     "mismatch_from_detuning",
@@ -42,10 +40,6 @@ JUNDT_1997_NE = (
 )
 JUNDT_1997_RANGE = (0.40e-6, 5.0e-6)
 
-KNOWN_MODELS = {
-    "cln_ne_jundt1997": (JUNDT_1997_NE, JUNDT_1997_RANGE),
-}
-
 
 class WavelengthRangeError(ValueError):
     """Vacuum wavelength outside the validity range of the Sellmeier fit."""
@@ -56,7 +50,7 @@ class DispersionModel:
     """A pinned Sellmeier fit at a fixed temperature.
 
     Attributes:
-        name: identifier of the fit (documented in KNOWN_MODELS).
+        name: identifier of the fit.
         coefficients: (a1..a6, b1..b4) of the Jundt-form Sellmeier equation.
         wavelength_range: validity interval of the fit in meters.
         temperature: fixed operating temperature in kelvin.
@@ -89,21 +83,6 @@ def congruent_linbo3_extraordinary(temperature: float = 297.65) -> DispersionMod
         wavelength_range=JUNDT_1997_RANGE,
         temperature=temperature,
     )
-
-
-def model_from_mapping(mapping: Mapping[str, str]) -> DispersionModel:
-    """Build a model from a key-value configuration section.
-
-    Recognized keys: ``sellmeier`` (a fit name registered in KNOWN_MODELS)
-    and ``temperature_k``.  Other fits go through the DispersionModel
-    constructor.
-    """
-    name = str(mapping.get("sellmeier", "cln_ne_jundt1997")).strip()
-    if name not in KNOWN_MODELS:
-        raise ValueError(f"sellmeier must name a registered fit {sorted(KNOWN_MODELS)}, "
-                         f"got {name!r}")
-    coeffs, wl_range = KNOWN_MODELS[name]
-    return DispersionModel(name, coeffs, wl_range, float(mapping.get("temperature_k", 297.65)))
 
 
 def _check_range(model: DispersionModel, wavelength) -> None:

@@ -137,20 +137,12 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
     chunk = 32
     total = np.array(0.0)
     total_sq = np.array(0.0)
-    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for start in range(0, spec.n_realizations, chunk):
             indices = range(start, min(start + chunk, spec.n_realizations))
-            if pool is not None:
-                results = list(pool.map(one, indices))
-            else:
-                results = [one(i) for i in indices]
-            block = np.stack(results)
+            block = np.stack(list(pool.map(one, indices)))
             total = total + block.sum(axis=0)
             total_sq = total_sq + np.square(block).sum(axis=0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     m = spec.n_realizations
     mean = total / m

@@ -174,16 +174,18 @@ def two_photon_amplitude(source, grid: SpectralGrid, pump: PumpSpec,
 
 
 def compensate_phase(amplitude: TwoPhotonAmplitude, mode: str) -> TwoPhotonAmplitude:
-    """Remove spectral phase: all of it ('ideal') or its fitted quadratic
-    part ('quadratic'); magnitudes are preserved exactly.
+    """Remove spectral phase: none of it ('none'), all of it ('ideal') or its
+    fitted quadratic part ('quadratic'); magnitudes are preserved exactly.
 
     The quadratic fit runs over the band where |Phi|^2 is at least half its
     maximum, on the unwrapped phase, weighted by |Phi|^2.
     """
     if amplitude.compensation != "none":
         raise ValueError(f"amplitude already compensated ({amplitude.compensation})")
-    if mode not in ("ideal", "quadratic"):
-        raise ValueError(f"mode must be 'ideal' or 'quadratic', got {mode!r}")
+    if mode not in ("none", "ideal", "quadratic"):
+        raise ValueError(f"mode must be 'none', 'ideal' or 'quadratic', got {mode!r}")
+    if mode == "none":
+        return amplitude
     magnitude = np.abs(amplitude.values)
     if mode == "ideal":
         return TwoPhotonAmplitude(amplitude.grid, magnitude.astype(complex), "ideal")

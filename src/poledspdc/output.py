@@ -42,20 +42,15 @@ def write_csv(path, columns: dict, meta: dict = None) -> Path:
     return path
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
+def _numpy_default(value):
+    """JSON form of numpy scalars and arrays (np.float64 is already a float)."""
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_default) + "\n")
     return path

@@ -71,8 +71,8 @@ class PumpSpec:
     def __post_init__(self):
         if not 0.0 < self.omega_p0 < np.inf:
             raise ValueError("pump frequency must be positive and finite")
-        if not self.power > 0.0:
-            raise ValueError("pump power must be positive")
+        if not 0.0 < self.power < np.inf:
+            raise ValueError(f"pump power must be positive and finite, got {self.power}")
 
 
 def default_pump(power: float = DEFAULT_PUMP_POWER,

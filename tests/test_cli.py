@@ -1,7 +1,9 @@
+import configparser
 import json
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from poledspdc import (
     ensemble,
     fwhm,
     pair_rate,
+    sigma_for_zeta,
     signal_spectrum,
     spectral_density,
     symmetric_grid,
@@ -57,12 +60,21 @@ def read_csv(path):
 
 # Every field away from its default; the computed floats need long reprs to round-trip.
 NON_DEFAULT = RunConfig(
-    sellmeier="2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0", temperature_k=931.0 / 3,
-    pump_wavelength_m=0.1 * 7.7e-6, pump_power_w=0.1 + 0.2, kind="chirped", n_domains=777,
-    l0_m=9.4 * 1.1e-6, sigma_m=1.7e-6 / 3, zeta_per_m2=3.3e5, seed=99, lambda_min_m=1.1e-6,
-    n_samples=4096, n_realizations=17, base_seed=5,
-    directory="some/dir", threads=3,
+    temperature_k=931.0 / 3, pump_wavelength_m=0.1 * 7.7e-6, pump_power_w=0.1 + 0.2,
+    kind="chirped", n_domains=777, l0_m=9.4 * 1.1e-6, sigma_m=1.7e-6 / 3, zeta_per_m2=3.3e5,
+    seed=99, lambda_min_m=1.1e-6, n_samples=4096, n_domains_scan="200,400", mc=False,
+    zeta_scan="3e5", normalize=True, compensation="quadratic", delay_span_s=50e-15,
+    delay_step_s=1e-15 / 3, n_realizations=17, base_seed=5, observable="hom",
+    convergence=True, directory="some/dir", threads=3,
 )
+
+
+def flag_argv(f, value):
+    """Command-line words that set field f to value."""
+    flag = f.metadata["flag"]
+    if isinstance(value, bool):
+        return [flag if value else "--no-" + flag.removeprefix("--")]
+    return [flag, str(value)]
 
 
 def csv_body(path):
@@ -92,14 +104,6 @@ class TestL0:
         captured = capsys.readouterr()
         assert "pump frequency" in captured.err and "l0 =" not in captured.out
 
-    def test_explicit_sellmeier_coefficients_are_config_error(self, capsys):
-        # the CLI takes a registered fit name only; other fits go through
-        # the DispersionModel constructor
-        coefficients = ("5.35583,0.100473,0.20692,100,11.34927,"
-                        "1.5334e-2,4.629e-7,3.862e-8,-0.89e-8,2.657e-5")
-        assert main(["l0", "--sellmeier", coefficients]) == EXIT_CONFIG
-        assert "must name a registered fit" in capsys.readouterr().err
-
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "poledspdc.cli", "l0"],
                                 capture_output=True, text=True)
@@ -118,34 +122,111 @@ class TestConfigTable:
         assert load_config(tmp_path / "run.ini") == config
 
     def test_common_flags_are_unchanged(self):
-        subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
-        shared = set.intersection(*(
-            {s for action in p._actions for s in action.option_strings}
-            for p in subparsers.choices.values()
-        ))
+        # every subcommand takes the same flags; outside the RunConfig table
+        # only --config, --outdir, --version and l0 --json are declared
+        parser = build_parser()
+        assert {s for a in parser._actions for s in a.option_strings} == {
+            "-h", "--help", "--version"}
+        subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+        options = {name: {s for action in p._actions for s in action.option_strings}
+                   for name, p in subparsers.choices.items()}
+        shared = set.intersection(*options.values())
         assert shared - {"-h", "--help"} == {
-            "--config", "--outdir", "--threads", "--sellmeier", "--temperature-k",
+            "--config", "--outdir", "--threads", "--temperature-k",
             "--pump-wavelength", "--power", "--kind", "--n-domains", "--l0", "--sigma",
             "--zeta", "--seed", "--lambda-min", "--n-samples",
-            "--n-realizations", "--base-seed",
+            "--n-realizations", "--base-seed", "--n-domains-scan", "--mc", "--no-mc",
+            "--zeta-scan", "--normalize", "--no-normalize", "--compensation",
+            "--delay-span", "--delay-step", "--observable", "--convergence",
+            "--no-convergence",
         }
+        assert {name: opts - shared for name, opts in options.items()} == {
+            name: {"--json"} if name == "l0" else set() for name in options}
 
     def test_each_flag_sets_its_field(self, monkeypatch):
         monkeypatch.delenv("POLEDSPDC_OUTDIR", raising=False)
         flagged = [f for f in fields(RunConfig) if f.metadata["flag"]]
-        assert len(flagged) == 15
+        assert len(flagged) == 23
         for f in flagged:
             value = getattr(NON_DEFAULT, f.name)
-            args = build_parser().parse_args(["spectrum", f.metadata["flag"], str(value)])
+            args = build_parser().parse_args(["spectrum", *flag_argv(f, value)])
             resolved = _resolve(args)
             assert resolved == RunConfig(**{f.name: value}), f.name
             assert type(getattr(resolved, f.name)) is type(value), f.name
 
     def test_config_file_kind_outside_flag_choices_is_config_error(self, tmp_path):
         config = tmp_path / "run.ini"
-        config.write_text("[structure]\nkind = ensemble\n")
+        config.write_text("[structure]\nkind = spiral\n")
         code = main(["spectrum", "--config", str(config), "--outdir", str(tmp_path), *FAST])
         assert code == EXIT_CONFIG
+
+    def test_retired_sellmeier_key_is_ignored(self, tmp_path, capsys):
+        # the default Jundt fit is the only model; an old INI that names it
+        # (or anything else) still loads, and the flag is gone
+        config = tmp_path / "old.ini"
+        config.write_text("[crystal]\nsellmeier = cln_ne_jundt1997\ntemperature_k = 310\n")
+        assert load_config(config) == RunConfig(temperature_k=310.0)
+        assert main(["l0", "--config", str(config), "--outdir", str(tmp_path)]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["l0", "--sellmeier", "cln_ne_jundt1997"])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_readme_block_lists_every_key_at_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "readme.ini").write_text(block)
+        parser = configparser.ConfigParser()
+        parser.read(tmp_path / "readme.ini")
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == {
+            (f.metadata["section"], f.metadata["key"]) for f in fields(RunConfig)}
+        assert load_config(tmp_path / "readme.ini") == RunConfig()
+
+
+# One non-default command option each; a rerun from the resolved INI alone
+# must rewrite every CSV byte for byte.
+RERUNS = {
+    "spectrum": ["spectrum", "--normalize"],
+    "fig1": ["fig1", "--n-domains-scan", "200,400", "--no-mc"],
+    "fig2": ["fig2", "--zeta-scan", "3e5"],
+    "fig3": ["fig3", "--sigma", "3e-6"],
+    "fig4": ["fig4", "--delay-span", "50e-15"],
+    "hom": ["hom", "--kind", "chirped"],
+    "sumfreq": ["sumfreq", "--kind", "chirped", "--compensation", "quadratic"],
+    "mc": ["mc", "--observable", "hom"],
+}
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("argv", RERUNS.values(), ids=RERUNS.keys())
+    def test_rerun_from_config_alone_is_byte_identical(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, *FAST, "--outdir", str(first)]) == EXIT_OK
+        assert main([argv[0], "--config", str(first / f"{argv[0]}_config.ini"),
+                     "--outdir", str(second)]) == EXIT_OK
+        names = sorted(p.name for p in first.glob("*.csv"))
+        assert names and names == sorted(p.name for p in second.glob("*.csv"))
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_config_file_sigma_is_the_fig3_disorder(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[structure]\nsigma_m = 3e-6\n")
+        assert main(["fig3", "--config", str(config), *FAST,
+                     "--outdir", str(tmp_path / "ini")]) == EXIT_OK
+        assert main(["fig3", "--sigma", "3e-6", *FAST,
+                     "--outdir", str(tmp_path / "flag")]) == EXIT_OK
+        meta, _ = read_csv(tmp_path / "ini" / "fig3.csv")
+        assert float(meta["sigma_m"]) == 3e-6
+        assert (tmp_path / "ini" / "fig3.csv").read_bytes() == \
+            (tmp_path / "flag" / "fig3.csv").read_bytes()
+
+    def test_unset_sigma_is_width_matched_to_the_chirp(self, tmp_path, model, pump):
+        assert main(["spectrum", *FAST, "--zeta", "5e5", "--outdir", str(tmp_path)]) == EXIT_OK
+        meta, _ = read_csv(tmp_path / "spectrum.csv")
+        grid = symmetric_grid(pump.omega_p0, n_samples=1024, model=model)
+        l0 = base_domain_length(model, pump.omega_p0)
+        assert float(meta["sigma_m"]) == sigma_for_zeta(5e5, 400, model, grid, pump, l0=l0)
+        assert (tmp_path / "spectrum_config.ini").read_text().count("sigma_m = \n") == 1
 
 
 class TestSpectrumCommand:
@@ -184,6 +265,14 @@ class TestSpectrumCommand:
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.ini")])
         assert code == EXIT_CONFIG
+
+    def test_infinite_pump_power_is_config_error(self, tmp_path, capsys):
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST,
+                     "--power", "inf"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "pump power" in err[0]
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_nan_disorder_is_numeric_error(self, tmp_path, capsys):
         code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "random", *FAST,
@@ -260,6 +349,14 @@ class TestFig2:
         assert np.allclose(columns["rate_ratio"],
                            columns["rate_random"] / columns["rate_chirp"], rtol=1e-12)
 
+    @pytest.mark.parametrize("scan", ["nan", "1e5,inf"])
+    def test_non_finite_scan_is_config_error(self, tmp_path, capsys, scan):
+        code = main(["fig2", "--outdir", str(tmp_path), *FAST, f"--zeta-scan={scan}"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "zeta scan" in err[0]
+        assert not (tmp_path / "fig2.csv").exists()
+
     def test_matches_widths_at_the_configured_l0(self, tmp_path, model, pump):
         # the width match and both sources move with --l0, so random and
         # chirped stacks of the same l0 keep comparable rates
@@ -319,7 +416,7 @@ class TestFig4:
 
 class TestHomSumfreqMc:
     def test_hom_command(self, tmp_path):
-        code = main(["hom", "--outdir", str(tmp_path), "--source", "ensemble", *FAST,
+        code = main(["hom", "--outdir", str(tmp_path), "--kind", "ensemble", *FAST,
                      "--delay-span", "50e-15", "--delay-step", "1e-15"])
         assert code == EXIT_OK
         _, columns = read_csv(tmp_path / "hom.csv")
@@ -336,7 +433,7 @@ class TestHomSumfreqMc:
 
     def test_sumfreq_command_modes(self, tmp_path):
         for mode in ("none", "ideal", "quadratic"):
-            code = main(["sumfreq", "--outdir", str(tmp_path), "--source", "random",
+            code = main(["sumfreq", "--outdir", str(tmp_path), "--kind", "random",
                          "--compensation", mode, *FAST])
             assert code == EXIT_OK
             _, columns = read_csv(tmp_path / "sumfreq.csv")
@@ -383,13 +480,11 @@ class TestHomSumfreqMc:
         assert main(["mc", "--outdir", str(tmp_path / "plain"), "--observable", "pair_rate",
                      *FAST]) == EXIT_OK
         # the report equals the one from three standalone ensembles
-        args = build_parser().parse_args(
-            ["mc", "--config", str(tmp_path / "plain" / "mc_config.ini")])
-        ctx = _context(args)
+        ctx = _context(load_config(tmp_path / "plain" / "mc_config.ini"))
         report = ensemble.convergence_report([
             ensemble.run_ensemble(
                 ensemble.EnsembleSpec(m, ctx.config.base_seed, ctx.config.n_domains,
-                                      ctx.config.sigma_m, ctx.l0),
+                                      ctx.sigma, ctx.l0),
                 "pair_rate", model=ctx.model, grid=ctx.grid, pump=ctx.pump)
             for m in (6, 12, 24)
         ])
@@ -398,6 +493,14 @@ class TestHomSumfreqMc:
         assert meta["stderr_exponent"] == str(report.stderr_exponent)
         assert meta["converged"] == str(report.converged)
         assert csv_body(tmp_path / "conv" / "mc.csv") == csv_body(tmp_path / "plain" / "mc.csv")
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_config_error(self, tmp_path, capsys, threads):
+        code = main(["mc", "--outdir", str(tmp_path), *FAST, "--sigma", "2e-6",
+                     f"--threads={threads}"])
+        assert code == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "mc.csv").exists()
 
     def test_mc_spectrum_columns(self, tmp_path):
         code = main(["mc", "--outdir", str(tmp_path), "--observable", "spectrum", *FAST])

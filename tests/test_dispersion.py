@@ -11,7 +11,6 @@ from poledspdc import (
     mismatch_from_detuning,
     refractive_index,
 )
-from poledspdc.dispersion import model_from_mapping
 
 
 def jundt_ne_reference(lam_um):
@@ -114,16 +113,3 @@ class TestBaseDomainLength:
     def test_out_of_range_pump(self, model):
         with pytest.raises(WavelengthRangeError):
             base_domain_length(model, omega_of(10.2e-6))
-
-
-class TestConfigLoading:
-    def test_named_fit_roundtrip(self, model):
-        loaded = model_from_mapping({"sellmeier": "cln_ne_jundt1997", "temperature_k": "297.65"})
-        assert loaded.coefficients == model.coefficients
-        n_a = refractive_index(loaded, omega_of(1.55e-6))
-        n_b = refractive_index(model, omega_of(1.55e-6))
-        assert n_a == n_b
-
-    def test_unknown_fit_rejected(self):
-        with pytest.raises(ValueError):
-            model_from_mapping({"sellmeier": "unobtainium"})

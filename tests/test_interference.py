@@ -194,6 +194,11 @@ class TestCompensatePhase:
         with pytest.raises(ValueError):
             compensate_phase(amplitude, "cubic")
 
+    def test_none_mode_keeps_the_amplitude(self, grid_small):
+        # the sumfreq command and sumfreq ensembles pass --compensation none here
+        amplitude = TwoPhotonAmplitude(grid_small, np.ones(grid_small.omega.size, complex))
+        assert compensate_phase(amplitude, "none") is amplitude
+
     def test_gap_inside_fit_window_is_diagnosed(self, grid_small):
         # two bright lobes with an exact null between them, all above half max
         nu = grid_small.detuning / grid_small.detuning.max()
