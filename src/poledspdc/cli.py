@@ -141,7 +141,10 @@ def _resolve(args) -> RunConfig:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name, None) is not None}
     overrides["directory"] = args.outdir or os.environ.get(OUTDIR_ENV) or config.directory
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    if config.threads < 1:
+        raise ValueError(f"--threads / [output] threads must be at least 1, got {config.threads}")
+    return config
 
 
 @dataclass
@@ -394,8 +397,10 @@ def cmd_mc(ctx: Context):
     """Monte Carlo ensemble of one observable"""
     config = ctx.config
     observable = config.observable
+    calibration = (spectra.calibrate(ctx.model, ctx.grid, ctx.pump)
+                   if observable == "pair_rate" else None)
     options = {"delays": ctx.delays if observable == "hom" else None,
-               "compensation": config.compensation}
+               "compensation": config.compensation, "calibration": calibration}
     est = _ensemble(ctx, observable, **options)
     if observable == "pair_rate":
         axis = ("index", np.zeros(1))
@@ -410,6 +415,8 @@ def cmd_mc(ctx: Context):
     meta = {"observable": observable, "n_realizations": config.n_realizations,
             "base_seed": config.base_seed, "sigma_m": ctx.sigma,
             "n_domains": config.n_domains}
+    if calibration is not None:
+        meta["calibration_constant"] = calibration
     if config.convergence:
         # seeds are index-derived, so the M-realization run above is the first
         # nested estimate

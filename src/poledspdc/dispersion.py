@@ -61,6 +61,11 @@ class DispersionModel:
     wavelength_range: tuple
     temperature: float = 297.65
 
+    def __post_init__(self):
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite (kelvin), "
+                             f"got {self.temperature}")
+
 
 @dataclass(frozen=True)
 class PhaseMismatch:

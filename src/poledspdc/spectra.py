@@ -12,7 +12,7 @@ calibration constant pinned to a reference pair rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as C_VACUUM, hbar
@@ -54,6 +54,7 @@ DEFAULT_SAMPLES = 2 ** 14
 REFERENCE_PAIR_RATE = 2e7          # pairs/s for the reference configuration
 REFERENCE_N_DOMAINS = 2000
 SIGMA_BRACKET = (1e-9, 5e-6)       # m, disorder range searched by sigma_for_zeta
+_SEED_SPREAD = np.log(1.25)        # first sigma_for_zeta bracket: sigma* / 1.25 to 1.25 sigma*
 
 
 class NoSolutionError(ValueError):
@@ -189,34 +190,70 @@ def mismatch_on_grid(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel)
     return delta_k(model, grid.omega, grid.idler(pump.omega_p0), pump.omega_p0)
 
 
+@dataclass(frozen=True, eq=False)
+class _SpectralSetup:
+    """The sigma-independent part of every spectral evaluation on one grid,
+    each computed on first use: the phase mismatch, the base domain length
+    and the coupling weight |g|^2 |xi_p|^2 / (2 pi)."""
+
+    grid: SpectralGrid
+    pump: PumpSpec
+    model: DispersionModel
+
+    @cached_property
+    def mismatch(self) -> PhaseMismatch:
+        return mismatch_on_grid(self.grid, self.pump, self.model)
+
+    @cached_property
+    def l0(self) -> float:
+        return base_domain_length(self.model, self.pump.omega_p0)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        g = coupling_g(self.grid.omega, self.grid.idler(self.pump.omega_p0), self.model)
+        return np.abs(g) ** 2 * self.pump.power / (2.0 * np.pi)
+
+    def stack_l0(self, l0) -> float:
+        """l0, or the base domain length when l0 is None."""
+        return self.l0 if l0 is None else l0
+
+    def abs_f_sq(self, source) -> np.ndarray:
+        mismatch = self.mismatch
+        if isinstance(source, DomainStack):
+            return phasematch.f_exact(source, mismatch).abs_sq
+        if not isinstance(source, (RandomEnsembleSource, ChirpedSource)):
+            raise TypeError(f"unsupported source {type(source).__name__}")
+        l0 = self.stack_l0(source.l0)
+        if isinstance(source, RandomEnsembleSource):
+            return phasematch.f_avg_sq(mismatch, source.n_domains, l0, source.sigma)
+        if source.zeta == 0.0:
+            stack = structure.build_periodic(source.n_domains, l0)
+            return phasematch.f_exact(stack, mismatch).abs_sq
+        zeta_prime = source.zeta / mismatch.delta_k0
+        if source.envelope:
+            return phasematch.f_chirped_envelope(mismatch, source.n_domains, l0, zeta_prime)
+        return phasematch.f_chirped(mismatch, source.n_domains, l0, zeta_prime).abs_sq
+
+    def density(self, source) -> Spectrum:
+        return Spectrum(self.grid, self.weight * self.abs_f_sq(source))
+
+    def width(self, source) -> float:
+        """FWHM in rad/s of the source's signal spectrum."""
+        return fwhm(signal_spectrum(self.density(source))).width_omega
+
+
 def mean_abs_f_sq(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> np.ndarray:
     """<|F|^2> on the grid for a concrete stack (identity average), an
     analytic random ensemble (the average of |f_exact|^2 at every
     sigma >= 0) or an analytic chirped stack; an analytic source without
     l0 uses the base domain length."""
-    mismatch = mismatch_on_grid(grid, pump, model)
-    if isinstance(source, DomainStack):
-        return phasematch.f_exact(source, mismatch).abs_sq
-    if not isinstance(source, (RandomEnsembleSource, ChirpedSource)):
-        raise TypeError(f"unsupported source {type(source).__name__}")
-    l0 = base_domain_length(model, pump.omega_p0) if source.l0 is None else source.l0
-    if isinstance(source, RandomEnsembleSource):
-        return phasematch.f_avg_sq(mismatch, source.n_domains, l0, source.sigma)
-    if source.zeta == 0.0:
-        stack = structure.build_periodic(source.n_domains, l0)
-        return phasematch.f_exact(stack, mismatch).abs_sq
-    zeta_prime = source.zeta / mismatch.delta_k0
-    if source.envelope:
-        return phasematch.f_chirped_envelope(mismatch, source.n_domains, l0, zeta_prime)
-    return phasematch.f_chirped(mismatch, source.n_domains, l0, zeta_prime).abs_sq
+    return _SpectralSetup(grid, pump, model).abs_f_sq(source)
 
 
 def spectral_density(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> Spectrum:
     """Mean pair-number spectral density (per unit time, uncalibrated):
     |g|^2 |xi_p|^2 / (2 pi) * <|F|^2> on the energy-conservation line."""
-    g = coupling_g(grid.omega, grid.idler(pump.omega_p0), model)
-    weight = np.abs(g) ** 2 * pump.power / (2.0 * np.pi)
-    return Spectrum(grid, weight * mean_abs_f_sq(grid, pump, model, source))
+    return _SpectralSetup(grid, pump, model).density(source)
 
 
 def signal_spectrum(density: Spectrum, normalize: bool = False) -> Spectrum:
@@ -288,8 +325,18 @@ def calibrate(model: DispersionModel, grid: SpectralGrid, pump: PumpSpec) -> flo
     return REFERENCE_PAIR_RATE / raw
 
 
-def _width(source, grid, pump, model):
-    return fwhm(signal_spectrum(spectral_density(grid, pump, model, source))).width_omega
+def _ensemble_log_width_ratio(log_sigma, setup, n_domains, l0, target, widths):
+    """log(width(sigma) / target) for the random ensemble at sigma = e^log_sigma.
+
+    `widths` memoizes the widths already evaluated, so brentq's first calls
+    at the bracket ends cost nothing.  brentq's wrapper of its objective is
+    a reference cycle, freed only by a full collection; the set-up's arrays
+    therefore come in through brentq's args, never through a closure.
+    """
+    if log_sigma not in widths:
+        source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma), l0=l0)
+        widths[log_sigma] = setup.width(source)
+    return np.log(widths[log_sigma] / target)
 
 
 def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
@@ -299,27 +346,55 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
     width as the chirped spectrum at the given chirp parameter, both stacks
     at domain length l0 (default: the base domain length).
 
-    Brent's method solves log(width(sigma) / target) = 0 in log sigma over
-    SIGMA_BRACKET to within rtol / 2; the ensemble width is close to linear
-    in sigma, so the widths then match within rtol.  Raises NoSolutionError
-    when the target is not bracketed or the solver does not converge.
+    Large-N law.  Near dk0 = pi/l0 the ensemble's <|F|^2> is a Lorentzian
+    in q = dk - dk0: each domain multiplies the boundary sum by a step of
+    mean e^a, |e^a| = e^(-(sigma dk)^2/4), so the stationary sum has half
+    width sigma^2 dk0^2 / (4 l0) in q.  The chirped stack's local period
+    sweeps q over a flat top out to |q| = zeta N l0.  Both map to the
+    signal detuning through the same q(Omega), so equal half widths in q
+    give equal widths in Omega:
+
+        sigma* = 2 l0^2 sqrt(zeta N) / pi ,
+
+    2.56 um at zeta = 1e6 m^-2, N = 2000.  It holds once the chirp band
+    clears the periodic main lobe (zeta (N l0)^2 large), to within 5% at
+    N = 2000 and zeta >= 2e5 m^-2.
+
+    Solver.  The first bracket runs from sigma* / 1.25 to 1.25 sigma*
+    (from the bottom of SIGMA_BRACKET when zeta <= 0).  While it misses the
+    target it moves towards it, reusing its inner end and doubling its
+    width, never beyond SIGMA_BRACKET.  Brent's method then solves
+    log(width(sigma) / target) = 0 in log sigma to within rtol / 2; the
+    ensemble width is close to linear in sigma, so the widths then match
+    within rtol.  One spectral set-up serves the target and every width.
+    Raises NoSolutionError when SIGMA_BRACKET does not bracket the target
+    or the solver does not converge.
     """
-    target = _width(ChirpedSource(n_domains=n_domains, zeta=zeta, l0=l0), grid, pump, model)
-
-    @cache  # brentq starts by re-evaluating the two bracket ends checked below
-    def width(log_sigma):
-        source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma), l0=l0)
-        return _width(source, grid, pump, model)
-
-    lo, hi = SIGMA_BRACKET
-    w_lo, w_hi = width(np.log(lo)), width(np.log(hi))
-    if not (w_lo <= target <= w_hi):
+    setup = _SpectralSetup(grid, pump, model)
+    target = setup.width(ChirpedSource(n_domains=n_domains, zeta=zeta, l0=l0))
+    widths = {}
+    args = (setup, n_domains, l0, target, widths)
+    bottom, top = np.log(SIGMA_BRACKET)
+    if zeta > 0.0:
+        seed = np.log(2.0 * setup.stack_l0(l0) ** 2 * np.sqrt(zeta * n_domains) / np.pi)
+    else:
+        seed = bottom
+    seed = min(max(seed, bottom), top)
+    lo, hi = max(seed - _SEED_SPREAD, bottom), min(seed + _SEED_SPREAD, top)
+    while _ensemble_log_width_ratio(lo, *args) > 0.0 and lo > bottom:
+        lo, hi = max(lo - 2.0 * (hi - lo), bottom), lo
+    while _ensemble_log_width_ratio(hi, *args) < 0.0 and hi < top:
+        lo, hi = hi, min(hi + 2.0 * (hi - lo), top)
+    if _ensemble_log_width_ratio(lo, *args) > 0.0 or _ensemble_log_width_ratio(hi, *args) < 0.0:
+        for end in (bottom, top):
+            _ensemble_log_width_ratio(end, *args)
         raise NoSolutionError(
             f"chirped width {target:.4e} rad/s not bracketed by sigma in "
-            f"[{lo:.2e}, {hi:.2e}] m (widths [{w_lo:.4e}, {w_hi:.4e}])"
+            f"[{SIGMA_BRACKET[0]:.2e}, {SIGMA_BRACKET[1]:.2e}] m "
+            f"(widths [{widths[bottom]:.4e}, {widths[top]:.4e}])"
         )
-    log_sigma, result = brentq(lambda x: np.log(width(x) / target), np.log(lo), np.log(hi),
-                               xtol=rtol / 2.0, full_output=True, disp=False)
+    log_sigma, result = brentq(_ensemble_log_width_ratio, lo, hi, args=args, xtol=rtol / 2.0,
+                               full_output=True, disp=False)
     if not result.converged:
         raise NoSolutionError(f"width match did not converge: {result.flag}")
     return float(np.exp(log_sigma))
@@ -334,9 +409,9 @@ def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,
     """
     if sigma is None:
         sigma = sigma_for_zeta(zeta, n_domains, model, grid, pump)
-    random_rate = pair_rate(spectral_density(
-        grid, pump, model, RandomEnsembleSource(n_domains=n_domains, sigma=sigma))).pair_rate
-    l0 = base_domain_length(model, pump.omega_p0)
-    chirp_stack = structure.build_chirped(n_domains, l0, zeta, np.pi / l0)
-    chirped_rate = pair_rate(spectral_density(grid, pump, model, chirp_stack)).pair_rate
+    setup = _SpectralSetup(grid, pump, model)
+    random_rate = pair_rate(setup.density(
+        RandomEnsembleSource(n_domains=n_domains, sigma=sigma))).pair_rate
+    chirp_stack = structure.build_chirped(n_domains, setup.l0, zeta, np.pi / setup.l0)
+    chirped_rate = pair_rate(setup.density(chirp_stack)).pair_rate
     return random_rate / chirped_rate

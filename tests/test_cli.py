@@ -16,6 +16,7 @@ from poledspdc import (
     __version__,
     base_domain_length,
     build_periodic,
+    calibrate,
     ensemble,
     fwhm,
     pair_rate,
@@ -290,13 +291,21 @@ class TestSpectrumCommand:
         assert "lambda_min" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
-    @pytest.mark.parametrize("flag", [["--l0", "nan"], ["--l0", "inf"],
-                                      ["--temperature-k", "nan"]],
-                             ids=["l0-nan", "l0-inf", "temperature-nan"])
+    @pytest.mark.parametrize("flag", [["--l0", "nan"], ["--l0", "inf"]],
+                             ids=["l0-nan", "l0-inf"])
     def test_non_finite_l0_is_named(self, tmp_path, capsys, flag):
         code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST, *flag])
         assert code == EXIT_NUMERIC
         assert "l0 must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("kelvin", ["nan", "inf", "0", "-5"])
+    def test_temperature_outside_its_domain_is_config_error(self, tmp_path, capsys, kelvin):
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST,
+                     f"--temperature-k={kelvin}"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "temperature must be positive and finite" in err[0]
         assert not (tmp_path / "spectrum.csv").exists()
 
 
@@ -481,11 +490,13 @@ class TestHomSumfreqMc:
                      *FAST]) == EXIT_OK
         # the report equals the one from three standalone ensembles
         ctx = _context(load_config(tmp_path / "plain" / "mc_config.ini"))
+        calibration = calibrate(ctx.model, ctx.grid, ctx.pump)
         report = ensemble.convergence_report([
             ensemble.run_ensemble(
                 ensemble.EnsembleSpec(m, ctx.config.base_seed, ctx.config.n_domains,
                                       ctx.sigma, ctx.l0),
-                "pair_rate", model=ctx.model, grid=ctx.grid, pump=ctx.pump)
+                "pair_rate", model=ctx.model, grid=ctx.grid, pump=ctx.pump,
+                calibration=calibration)
             for m in (6, 12, 24)
         ])
         meta, _ = read_csv(tmp_path / "conv" / "mc.csv")
@@ -501,6 +512,35 @@ class TestHomSumfreqMc:
         assert code == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "mc.csv").exists()
+
+    @pytest.mark.parametrize("command", ["l0", "spectrum", "fig1", "fig2", "fig3", "fig4", "hom",
+                                         "sumfreq", "mc", "config-file"])
+    def test_threads_below_one_is_named_for_every_command(self, tmp_path, capsys, command):
+        if command == "config-file":
+            config = tmp_path / "run.ini"
+            config.write_text("[output]\nthreads = 0\n")
+            argv = ["spectrum", "--config", str(config)]
+        else:
+            argv = [command, "--threads", "0"]
+        assert main([*argv, "--outdir", str(tmp_path / "out"), *FAST]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: --threads / [output] threads must be at least 1, "
+                       "got 0"]
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_pair_rate_is_calibrated(self, tmp_path, model, pump):
+        code = main(["mc", "--outdir", str(tmp_path), "--observable", "pair_rate", *FAST,
+                     "--n-realizations", "64", "--sigma", "2.3e-6"])
+        assert code == EXIT_OK
+        meta, columns = read_csv(tmp_path / "mc.csv")
+        grid = symmetric_grid(pump.omega_p0, n_samples=1024, model=model)
+        calibration = calibrate(model, grid, pump)
+        assert float(meta["calibration_constant"]) == calibration
+        l0 = base_domain_length(model, pump.omega_p0)
+        analytic = pair_rate(spectral_density(grid, pump, model,
+                                              RandomEnsembleSource(400, 2.3e-6, l0)),
+                             calibration).pair_rate
+        assert abs(columns["mean"][0] - analytic) <= 4.0 * columns["stderr"][0]
 
     def test_mc_spectrum_columns(self, tmp_path):
         code = main(["mc", "--outdir", str(tmp_path), "--observable", "spectrum", *FAST])

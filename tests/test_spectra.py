@@ -1,3 +1,4 @@
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from poledspdc import (
     spectral_density,
     symmetric_grid,
 )
-from poledspdc import phasematch, spectra
+from poledspdc import PhaseMismatch, phasematch, spectra
 from poledspdc.spectra import half_max_interval, mismatch_on_grid
 
 SINC_HALF_MAX = 1.3915573782515105   # sin(x)/x = 1/sqrt(2)
@@ -280,7 +281,9 @@ class TestSigmaZetaMap:
         w_chirp = fwhm(signal_spectrum(spectral_density(grid_mid, pump, model, chirp))).width_omega
         assert abs(w_rand - w_chirp) <= 1e-3 * w_chirp
 
-    def test_width_evaluations_per_solve(self, model, pump, grid_mid, monkeypatch):
+    @pytest.fixture
+    def width_evaluations(self, monkeypatch):
+        """Counts the ensemble widths a solve evaluates (one f_avg_sq each)."""
         calls = []
         f_avg_sq = phasematch.f_avg_sq
 
@@ -289,8 +292,46 @@ class TestSigmaZetaMap:
             return f_avg_sq(*args, **kwargs)
 
         monkeypatch.setattr(phasematch, "f_avg_sq", counted)
+        return calls
+
+    def test_width_evaluations_per_solve(self, model, pump, grid_mid, width_evaluations):
         sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
-        assert 0 < len(calls) <= 7
+        assert 0 < len(width_evaluations) <= 5
+
+    # Evaluations the full-SIGMA_BRACKET solver needed for each case; the
+    # bracket seeded at sigma* must never need more.
+    @pytest.mark.parametrize("n_domains, zeta, unseeded", [
+        (n, z, count)
+        for n, counts in ((250, (11, 11, 11, 11, 11)), (1000, (11, 11, 9, 7, 8)),
+                          (2000, (11, 8, 7, 7, 7)), (4000, (9, 7, 7, 7, 9)))
+        for z, count in zip((1e4, 1e5, 2e5, 5e5, 1e6), counts)
+    ])
+    def test_seeded_bracket_needs_no_more_evaluations(self, model, pump, grid_mid,
+                                                      width_evaluations, n_domains, zeta,
+                                                      unseeded):
+        sigma_for_zeta(zeta, n_domains, model, grid_mid, pump)
+        assert 0 < len(width_evaluations) <= unseeded
+
+    @pytest.mark.parametrize("zeta", [2e5, 5e5, 1e6])
+    def test_large_n_law(self, model, pump, grid_mid, l0, zeta):
+        # sigma* = 2 l0^2 sqrt(zeta N) / pi equates the ensemble's Lorentzian
+        # half width sigma^2 dk0^2 / (4 l0) with the chirp's flat top zeta N l0
+        star = 2.0 * l0 ** 2 * np.sqrt(zeta * 2000) / np.pi
+        assert sigma_for_zeta(zeta, 2000, model, grid_mid, pump) / star == pytest.approx(
+            1.0, abs=0.06)
+
+    def test_solve_leaves_no_set_up_in_a_reference_cycle(self, model, pump, grid_mid):
+        # brentq's objective wrapper refers to itself; whatever the objective
+        # captures is freed only by a full collection
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
+            gc.collect()
+            assert not any(isinstance(obj, PhaseMismatch) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
     def test_unconverged_solve_raises(self, model, pump, grid_mid, monkeypatch):
         def stalled(f, a, b, **kwargs):
@@ -305,6 +346,12 @@ class TestSigmaZetaMap:
         monkeypatch.setattr(spectra, "SIGMA_BRACKET", (1e-9, 1e-7))
         with pytest.raises(NoSolutionError, match="not bracketed"):
             sigma_for_zeta(1e6, 2000, model, grid_mid, pump)
+
+    def test_zero_chirp_is_not_bracketed(self, model, pump, grid_mid):
+        # the periodic width lies just below the ensemble's at the smallest sigma
+        with pytest.raises(NoSolutionError, match=r"not bracketed by sigma in \[1\.00e-09, "
+                                                  r"5\.00e-06\] m"):
+            sigma_for_zeta(0.0, 2000, model, grid_mid, pump)
 
 
 class TestRateRatio:
