@@ -87,16 +87,19 @@ def _make_estimator(observable, model, grid, pump, delays, compensation, calibra
     if model is None or grid is None or pump is None:
         raise ValueError(f"observable {observable!r} needs model, grid and pump")
 
+    # One set-up serves every realization; its cached mismatch and weight are
+    # computed here, before any worker reads them.
+    setup = spectra._SpectralSetup(grid, pump, model)
+    setup.mismatch, setup.weight
     if observable == "spectrum":
         def estimator(stack):
-            return spectra.spectral_density(grid, pump, model, stack).values
+            return setup.density(stack).values
     elif observable == "pair_rate":
         def estimator(stack):
-            density = spectra.spectral_density(grid, pump, model, stack)
-            return spectra.pair_rate(density, calibration).pair_rate
+            return spectra.pair_rate(setup.density(stack), calibration).pair_rate
     elif observable == "hom":
         def estimator(stack):
-            curve = spectra.mean_abs_f_sq(grid, pump, model, stack)
+            curve = setup.abs_f_sq(stack)
             return interference.hom_trace(curve, grid, pump, delays).rates
     else:  # sumfreq
         def estimator(stack):

@@ -542,6 +542,19 @@ class TestHomSumfreqMc:
                              calibration).pair_rate
         assert abs(columns["mean"][0] - analytic) <= 4.0 * columns["stderr"][0]
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--observable", "spectrum", *FAST],
+        ["fig3", "--n-samples", "4096", "--n-domains", "1000", "--n-realizations", "6",
+         "--seed", "11"],
+    ], ids=["mc-spectrum", "fig3"])
+    def test_csv_is_byte_identical_across_threads(self, tmp_path, argv):
+        written = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / f"threads{threads}"
+            assert main([*argv, "--outdir", str(outdir), "--threads", threads]) == EXIT_OK
+            written.append((outdir / f"{argv[0]}.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_mc_spectrum_columns(self, tmp_path):
         code = main(["mc", "--outdir", str(tmp_path), "--observable", "spectrum", *FAST])
         assert code == EXIT_OK

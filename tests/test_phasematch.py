@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
+from scipy.special import erf, i0
 
 from poledspdc import (
     NumericalDomainError,
@@ -129,6 +129,30 @@ def gap_to_dense(stack, mismatch, max_points=1024):
     return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
 
 
+class TestResamplingKernel:
+    """The tabulated kernel and the node sums of _resampled_boundary_sum."""
+
+    def test_table_matches_i0(self):
+        f = np.random.default_rng(0).random(100_000)
+        x = (f[:, None] + 7.0 - np.arange(1, 15)) / 7.0
+        reference = i0(10.5 * np.pi * np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+        gap = np.abs(phasematch._kaiser_bessel(f) - reference)
+        assert np.all(gap.max(axis=0) <= 1e-14 * reference.max())
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 15, 16, 17, 196, 197, 700])
+    def test_node_product_matches_direct_sum(self, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        length = 2000 * L0
+        u = np.sort(rng.uniform(-0.5 * length, 0.5 * length, 2001))
+        weights = rng.normal(size=u.size)
+        h, k0 = np.pi / length, 300 * np.pi / length
+        nodes = phasematch._power_sums(weights * np.exp(1j * k0 * u), np.exp(1j * h * u),
+                                       n_nodes)
+        direct = np.exp(1j * np.multiply.outer(k0 + h * np.arange(n_nodes), u)) @ weights
+        assert nodes.shape == (n_nodes,)
+        assert np.max(np.abs(nodes - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 class TestResampledBoundarySum:
     """f_exact's resampled boundary sum against the dense forms, gated at 1e-10."""
 
@@ -144,6 +168,11 @@ class TestResampledBoundarySum:
         got = phasematch._resampled_boundary_sum(stack.boundaries, dk)[::stride]
         direct = phasematch._signed_boundary_sum(stack.boundaries, dk[::stride])
         assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("exponent", [8, 10, 12, 14])
+    def test_wide_disorder_short_stack(self, grid_mismatch, exponent):
+        stack = build_random(250, L0, 5e-6, seed=exponent)
+        assert gap_to_dense(stack, grid_mismatch[exponent]) <= 1e-10
 
     def test_shifted_stack(self, grid_mismatch):
         stack = shifted(build_random(2000, L0, 2e-6, seed=5), 1e-3)
@@ -177,7 +206,7 @@ class TestResampledBoundarySum:
         assert gap_to_dense(stack, near_zero) <= 1e-10
 
     def test_both_sides_of_the_crossover(self, grid_mismatch, monkeypatch):
-        # N = 2000 on the default span: ~196 nodes, crossover near 14 points
+        # N = 2000 on the default span: ~196 nodes, crossover near 10 points
         calls = []
         resampled = phasematch._resampled_boundary_sum
         monkeypatch.setattr(phasematch, "_resampled_boundary_sum",
