@@ -12,9 +12,9 @@ An empty sigma_m means the disorder whose ensemble width matches the
 configured chirp, solved only for the kinds and commands that use a sigma.
 The output directory resolves flag > POLEDSPDC_OUTDIR > config > cwd.
 
-Exit codes: 0 success, 2 configuration/usage errors and unusable paths
-(any OSError), 3 numerical-domain or wavelength-range errors and failed
-ensemble realizations.
+Exit codes: 0 success, 2 configuration/usage errors, unusable paths (any
+OSError) and exhausted memory, 3 numerical-domain or wavelength-range errors
+and failed ensemble realizations.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def _resolve(args) -> RunConfig:
 
 @dataclass
 class Context:
-    """A resolved configuration and what the commands derive from it; the
-    grid and the disorder are computed on first use."""
+    """A resolved configuration and what the commands derive from it, each
+    computed on first use: the grid, the one spectral set-up, the disorder."""
 
     config: RunConfig
     model: DispersionModel
@@ -165,13 +165,17 @@ class Context:
                                       self.config.n_samples, model=self.model)
 
     @cached_property
+    def setup(self) -> spectra._SpectralSetup:
+        return spectra._SpectralSetup(self.grid, self.pump, self.model)
+
+    @cached_property
     def sigma(self) -> float:
         """sigma_m, else the disorder width-matched to the configured chirp."""
         config = self.config
         if config.sigma_m is not None:
             return config.sigma_m
-        return spectra.sigma_for_zeta(config.zeta_per_m2, config.n_domains,
-                                      self.model, self.grid, self.pump, l0=self.l0)
+        return spectra._solve_sigma(self.setup, config.zeta_per_m2, config.n_domains,
+                                    l0=self.l0)[0]
 
     @property
     def delays(self) -> np.ndarray:
@@ -248,11 +252,6 @@ def _disorder_meta(ctx: Context) -> dict:
             "base_seed": config.base_seed, "n_realizations": config.n_realizations}
 
 
-def _pair_rate(ctx: Context, source, calibration: float) -> float:
-    density = spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, source)
-    return spectra.pair_rate(density, calibration).pair_rate
-
-
 def _parse_scan(text: str, label: str) -> list:
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values or not np.all(np.isfinite(values)):
@@ -271,7 +270,7 @@ def cmd_l0(ctx: Context, as_json: bool) -> None:
 
 def cmd_spectrum(ctx: Context):
     """signal spectrum of one structure"""
-    density = spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, _source(ctx))
+    density = ctx.setup.density(_source(ctx))
     spectrum = spectra.signal_spectrum(density, normalize=ctx.config.normalize)
     return {"": {
         "wavelength_m": ctx.grid.wavelengths,
@@ -287,7 +286,7 @@ def cmd_fig1(ctx: Context):
     if not all(v.is_integer() for v in scan):
         raise ValueError(f"n_domains scan entries must be integers, got {config.n_domains_scan!r}")
     n_scan = [int(v) for v in scan]
-    calibration = spectra.calibrate(ctx.model, ctx.grid, ctx.pump)
+    calibration = ctx.setup.calibration
     columns = {"n_domains": np.asarray(n_scan, dtype=float)}
     meta = {"sigma_scan_m": ",".join(str(s) for s in SIGMA_SCAN_FIG1),
             "pump_power_w": config.pump_power_w,
@@ -297,8 +296,8 @@ def cmd_fig1(ctx: Context):
     for i, sigma in enumerate(SIGMA_SCAN_FIG1):
         rows = []
         for n_domains in n_scan:
-            rate = _pair_rate(ctx, spectra.RandomEnsembleSource(n_domains, sigma, ctx.l0),
-                              calibration)
+            source = spectra.RandomEnsembleSource(n_domains, sigma, ctx.l0)
+            rate = spectra.pair_rate(ctx.setup.density(source), calibration).pair_rate
             if sigma == 0.0:
                 rows.append((rate, rate, 0.0))
             elif config.mc:
@@ -315,24 +314,19 @@ def cmd_fig1(ctx: Context):
 def cmd_fig2(ctx: Context):
     """chirp scan: width, matched disorder, rates, ratio"""
     zetas = _parse_scan(ctx.config.zeta_scan, "zeta")
-    calibration = spectra.calibrate(ctx.model, ctx.grid, ctx.pump)
-    n_domains = ctx.config.n_domains
+    setup, n_domains = ctx.setup, ctx.config.n_domains
     rows = []
     for zeta in zetas:
-        chirp_env = spectra.ChirpedSource(n_domains=n_domains, zeta=zeta, l0=ctx.l0)
-        s_chirp = spectra.signal_spectrum(
-            spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, chirp_env))
-        width = spectra.fwhm(s_chirp)
-        sigma = spectra.sigma_for_zeta(zeta, n_domains, ctx.model, ctx.grid, ctx.pump, l0=ctx.l0)
+        sigma, width = spectra._solve_sigma(setup, zeta, n_domains, l0=ctx.l0)
         stack = structure.build_chirped(n_domains, ctx.l0, zeta, ctx.delta_k0)
-        rate_chirp = _pair_rate(ctx, stack, calibration)
-        rate_random = _pair_rate(ctx, spectra.RandomEnsembleSource(n_domains, sigma, l0=ctx.l0),
-                                 calibration)
+        random = spectra.RandomEnsembleSource(n_domains, sigma, l0=ctx.l0)
+        rate_chirp = spectra.pair_rate(setup.density(stack), setup.calibration).pair_rate
+        rate_random = spectra.pair_rate(setup.density(random), setup.calibration).pair_rate
         rows.append((zeta, width.width_omega, width.width_wavelength, sigma,
                      rate_chirp, rate_random, rate_random / rate_chirp))
     names = ("zeta_per_m2", "fwhm_chirp_omega_rad_s", "fwhm_chirp_wavelength_m",
              "sigma_match_m", "rate_chirp", "rate_random", "rate_ratio")
-    meta = {"n_domains": n_domains, "calibration_constant": calibration,
+    meta = {"n_domains": n_domains, "calibration_constant": setup.calibration,
             "pump_power_w": ctx.config.pump_power_w}
     return {"": dict(zip(names, np.asarray(rows).T))}, meta
 
@@ -343,7 +337,7 @@ def cmd_fig3(ctx: Context):
                spectra.ChirpedSource(n_domains=ctx.config.n_domains,
                                      zeta=ctx.config.zeta_per_m2, l0=ctx.l0),
                _source(ctx, "ensemble"))
-    densities = [spectra.spectral_density(ctx.grid, ctx.pump, ctx.model, s) for s in sources]
+    densities = [ctx.setup.density(s) for s in sources]
     densities.append(spectra.Spectrum(ctx.grid, _ensemble(ctx, "spectrum").mean))
     columns = {"wavelength_m": ctx.grid.wavelengths, "omega_rad_s": ctx.grid.omega}
     for name, density in zip(("s_realization", "s_chirped_envelope", "s_ensemble_analytic",
@@ -361,12 +355,12 @@ def cmd_fig4(ctx: Context):
     hom_cols = {"tau_s": delays}
     for label, source in (("realization", realization), ("chirped", chirp_stack),
                           ("ensemble", _source(ctx, "ensemble"))):
-        curve = spectra.mean_abs_f_sq(ctx.grid, ctx.pump, ctx.model, source)
+        curve = ctx.setup.abs_f_sq(source)
         hom_cols[f"rn_{label}"] = interference.hom_trace(curve, ctx.grid, ctx.pump, delays).rates
 
     sum_cols = {"tau_s": interference.fft_delay_axis(ctx.grid)}
     for label, stack in (("realization", realization), ("chirped", chirp_stack)):
-        amp = interference.two_photon_amplitude(stack, ctx.grid, ctx.pump, ctx.model)
+        amp = interference._amplitude(ctx.setup, stack)
         for mode in ("ideal", "quadratic"):
             trace = interference.sum_frequency_trace(interference.compensate_phase(amp, mode))
             sum_cols[f"isum_{label}_{mode}"] = trace.intensity
@@ -376,7 +370,7 @@ def cmd_fig4(ctx: Context):
 
 def cmd_hom(ctx: Context):
     """coincidence-dip trace for one source"""
-    curve = spectra.mean_abs_f_sq(ctx.grid, ctx.pump, ctx.model, _source(ctx))
+    curve = ctx.setup.abs_f_sq(_source(ctx))
     trace = interference.hom_trace(curve, ctx.grid, ctx.pump, ctx.delays)
     meta = {**_structure_meta(ctx), "baseline_m2_rad_s": trace.baseline}
     return {"": {"tau_s": trace.delays, "rn": trace.rates}}, meta
@@ -384,7 +378,7 @@ def cmd_hom(ctx: Context):
 
 def cmd_sumfreq(ctx: Context):
     """sum-frequency temporal trace for one stack"""
-    amp = interference.two_photon_amplitude(_source(ctx), ctx.grid, ctx.pump, ctx.model)
+    amp = interference._amplitude(ctx.setup, _source(ctx))
     amp = interference.compensate_phase(amp, ctx.config.compensation)
     trace = interference.sum_frequency_trace(amp)
     meta = {**_structure_meta(ctx), "compensation": ctx.config.compensation}
@@ -397,8 +391,7 @@ def cmd_mc(ctx: Context):
     """Monte Carlo ensemble of one observable"""
     config = ctx.config
     observable = config.observable
-    calibration = (spectra.calibrate(ctx.model, ctx.grid, ctx.pump)
-                   if observable == "pair_rate" else None)
+    calibration = ctx.setup.calibration if observable == "pair_rate" else None
     options = {"delays": ctx.delays if observable == "hom" else None,
                "compensation": config.compensation, "calibration": calibration}
     est = _ensemble(ctx, observable, **options)
@@ -480,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: out of memory ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

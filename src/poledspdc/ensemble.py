@@ -87,8 +87,7 @@ def _make_estimator(observable, model, grid, pump, delays, compensation, calibra
     if model is None or grid is None or pump is None:
         raise ValueError(f"observable {observable!r} needs model, grid and pump")
 
-    # One set-up serves every realization; its cached mismatch and weight are
-    # computed here, before any worker reads them.
+    # One set-up serves every realization; its caches fill here, before any worker reads them.
     setup = spectra._SpectralSetup(grid, pump, model)
     setup.mismatch, setup.weight
     if observable == "spectrum":
@@ -103,7 +102,7 @@ def _make_estimator(observable, model, grid, pump, delays, compensation, calibra
             return interference.hom_trace(curve, grid, pump, delays).rates
     else:  # sumfreq
         def estimator(stack):
-            amp = interference.two_photon_amplitude(stack, grid, pump, model)
+            amp = interference._amplitude(setup, stack)
             comp = interference.compensate_phase(amp, compensation)
             return interference.sum_frequency_trace(comp, delays=delays).intensity
     return estimator

@@ -156,21 +156,21 @@ def hom_trace(mean_abs_f_sq: np.ndarray, grid: SpectralGrid, pump: PumpSpec,
 
 def two_photon_amplitude(source, grid: SpectralGrid, pump: PumpSpec,
                          model: DispersionModel) -> TwoPhotonAmplitude:
-    """Collapsed amplitude g * xi_p * F(dk) of a concrete stack.
+    """Collapsed amplitude g * xi_p * F(dk) of a concrete stack, on a fresh set-up."""
+    return _amplitude(spectra._SpectralSetup(grid, pump, model), source)
 
-    Ensemble sources carry no phase information; computing their amplitude
-    per realization is the caller's job.
-    """
+
+def _amplitude(setup, source) -> TwoPhotonAmplitude:
+    """g * xi_p * F(dk) on the set-up's mismatch and coupling.  Ensemble
+    sources carry no phase; their amplitude is per realization."""
     if not isinstance(source, DomainStack):
         raise PhaseUnavailableError(
             f"{type(source).__name__} carries |F|^2 only; build per-realization "
             "stacks to obtain phases"
         )
-    mismatch = spectra.mismatch_on_grid(grid, pump, model)
-    f = phasematch.f_exact(source, mismatch).value
-    g = spectra.coupling_g(grid.omega, grid.idler(pump.omega_p0), model)
-    values = g * np.sqrt(pump.power) * f
-    return TwoPhotonAmplitude(grid, values, compensation="none")
+    f = phasematch.f_exact(source, setup.mismatch).value
+    values = setup.coupling * np.sqrt(setup.pump.power) * f
+    return TwoPhotonAmplitude(setup.grid, values, compensation="none")
 
 
 def compensate_phase(amplitude: TwoPhotonAmplitude, mode: str) -> TwoPhotonAmplitude:

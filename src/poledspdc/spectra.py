@@ -192,9 +192,10 @@ def mismatch_on_grid(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel)
 
 @dataclass(frozen=True, eq=False)
 class _SpectralSetup:
-    """The sigma-independent part of every spectral evaluation on one grid,
-    each computed on first use: the phase mismatch, the base domain length
-    and the coupling weight |g|^2 |xi_p|^2 / (2 pi)."""
+    """A run's grid, pump and model and, each computed on first use, the
+    phase mismatch, the complex coupling g, the coupling weight
+    |g|^2 |xi_p|^2 / (2 pi), the base domain length and the calibration
+    constant; every spectral quantity of a run evaluates through one."""
 
     grid: SpectralGrid
     pump: PumpSpec
@@ -205,17 +206,24 @@ class _SpectralSetup:
         return mismatch_on_grid(self.grid, self.pump, self.model)
 
     @cached_property
+    def coupling(self) -> np.ndarray:
+        return coupling_g(self.grid.omega, self.grid.idler(self.pump.omega_p0), self.model)
+
+    @cached_property
     def l0(self) -> float:
         return base_domain_length(self.model, self.pump.omega_p0)
 
     @cached_property
     def weight(self) -> np.ndarray:
-        g = coupling_g(self.grid.omega, self.grid.idler(self.pump.omega_p0), self.model)
-        return np.abs(g) ** 2 * self.pump.power / (2.0 * np.pi)
+        return np.abs(self.coupling) ** 2 * self.pump.power / (2.0 * np.pi)
 
-    def stack_l0(self, l0) -> float:
-        """l0, or the base domain length when l0 is None."""
-        return self.l0 if l0 is None else l0
+    @cached_property
+    def calibration(self) -> float:
+        stack = structure.build_periodic(REFERENCE_N_DOMAINS, self.l0)
+        raw = pair_rate(self.density(stack)).pair_rate
+        if raw <= 0.0:
+            raise ValueError("reference configuration produced a zero raw rate")
+        return REFERENCE_PAIR_RATE / raw
 
     def abs_f_sq(self, source) -> np.ndarray:
         mismatch = self.mismatch
@@ -223,7 +231,7 @@ class _SpectralSetup:
             return phasematch.f_exact(source, mismatch).abs_sq
         if not isinstance(source, (RandomEnsembleSource, ChirpedSource)):
             raise TypeError(f"unsupported source {type(source).__name__}")
-        l0 = self.stack_l0(source.l0)
+        l0 = self.l0 if source.l0 is None else source.l0
         if isinstance(source, RandomEnsembleSource):
             return phasematch.f_avg_sq(mismatch, source.n_domains, l0, source.sigma)
         if source.zeta == 0.0:
@@ -237,22 +245,22 @@ class _SpectralSetup:
     def density(self, source) -> Spectrum:
         return Spectrum(self.grid, self.weight * self.abs_f_sq(source))
 
-    def width(self, source) -> float:
-        """FWHM in rad/s of the source's signal spectrum."""
-        return fwhm(signal_spectrum(self.density(source))).width_omega
+    def fwhm(self, source) -> FwhmResult:
+        """FWHM of the source's signal spectrum."""
+        return fwhm(signal_spectrum(self.density(source)))
 
 
 def mean_abs_f_sq(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> np.ndarray:
     """<|F|^2> on the grid for a concrete stack (identity average), an
     analytic random ensemble (the average of |f_exact|^2 at every
     sigma >= 0) or an analytic chirped stack; an analytic source without
-    l0 uses the base domain length."""
+    l0 uses the base domain length.  Evaluated on a fresh set-up."""
     return _SpectralSetup(grid, pump, model).abs_f_sq(source)
 
 
 def spectral_density(grid: SpectralGrid, pump: PumpSpec, model: DispersionModel, source) -> Spectrum:
-    """Mean pair-number spectral density (per unit time, uncalibrated):
-    |g|^2 |xi_p|^2 / (2 pi) * <|F|^2> on the energy-conservation line."""
+    """Mean pair-number spectral density (per unit time, uncalibrated) on a fresh
+    set-up: |g|^2 |xi_p|^2 / (2 pi) * <|F|^2> on the energy-conservation line."""
     return _SpectralSetup(grid, pump, model).density(source)
 
 
@@ -317,12 +325,9 @@ def pair_rate(density: Spectrum, calibration: float = None) -> RateReport:
 
 def calibrate(model: DispersionModel, grid: SpectralGrid, pump: PumpSpec) -> float:
     """Fix the global constant so the periodic reference stack of
-    REFERENCE_N_DOMAINS domains reproduces REFERENCE_PAIR_RATE at the pump."""
-    stack = structure.build_periodic(REFERENCE_N_DOMAINS, base_domain_length(model, pump.omega_p0))
-    raw = pair_rate(spectral_density(grid, pump, model, stack)).pair_rate
-    if raw <= 0.0:
-        raise ValueError("reference configuration produced a zero raw rate")
-    return REFERENCE_PAIR_RATE / raw
+    REFERENCE_N_DOMAINS domains reproduces REFERENCE_PAIR_RATE at the pump;
+    evaluated on a fresh set-up."""
+    return _SpectralSetup(grid, pump, model).calibration
 
 
 def _ensemble_log_width_ratio(log_sigma, setup, n_domains, l0, target, widths):
@@ -335,7 +340,7 @@ def _ensemble_log_width_ratio(log_sigma, setup, n_domains, l0, target, widths):
     """
     if log_sigma not in widths:
         source = RandomEnsembleSource(n_domains=n_domains, sigma=np.exp(log_sigma), l0=l0)
-        widths[log_sigma] = setup.width(source)
+        widths[log_sigma] = setup.fwhm(source).width_omega
     return np.log(widths[log_sigma] / target)
 
 
@@ -366,17 +371,23 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
     width, never beyond SIGMA_BRACKET.  Brent's method then solves
     log(width(sigma) / target) = 0 in log sigma to within rtol / 2; the
     ensemble width is close to linear in sigma, so the widths then match
-    within rtol.  One spectral set-up serves the target and every width.
-    Raises NoSolutionError when SIGMA_BRACKET does not bracket the target
-    or the solver does not converge.
+    within rtol.  One fresh spectral set-up serves the target and every
+    width.  Raises NoSolutionError when SIGMA_BRACKET does not bracket the
+    target or the solver does not converge.
     """
-    setup = _SpectralSetup(grid, pump, model)
-    target = setup.width(ChirpedSource(n_domains=n_domains, zeta=zeta, l0=l0))
+    return _solve_sigma(_SpectralSetup(grid, pump, model), zeta, n_domains, rtol, l0)[0]
+
+
+def _solve_sigma(setup, zeta, n_domains, rtol=1e-3, l0=None) -> tuple:
+    """sigma_for_zeta on a given set-up: sigma and the chirped target's FwhmResult."""
+    l0 = setup.l0 if l0 is None else l0
+    chirped = setup.fwhm(ChirpedSource(n_domains=n_domains, zeta=zeta, l0=l0))
+    target = chirped.width_omega
     widths = {}
     args = (setup, n_domains, l0, target, widths)
     bottom, top = np.log(SIGMA_BRACKET)
     if zeta > 0.0:
-        seed = np.log(2.0 * setup.stack_l0(l0) ** 2 * np.sqrt(zeta * n_domains) / np.pi)
+        seed = np.log(2.0 * l0 ** 2 * np.sqrt(zeta * n_domains) / np.pi)
     else:
         seed = bottom
     seed = min(max(seed, bottom), top)
@@ -397,7 +408,7 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
                                full_output=True, disp=False)
     if not result.converged:
         raise NoSolutionError(f"width match did not converge: {result.flag}")
-    return float(np.exp(log_sigma))
+    return float(np.exp(log_sigma)), chirped
 
 
 def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,
@@ -405,11 +416,11 @@ def rate_ratio(zeta: float, n_domains: int, model: DispersionModel,
     """Pair-rate ratio random/chirped at width-matched disorder.
 
     The ratio is calibration- and pump-power-independent.  `sigma` may be
-    supplied to reuse a previously solved match.
+    supplied to reuse a previously solved match; one fresh set-up serves all.
     """
-    if sigma is None:
-        sigma = sigma_for_zeta(zeta, n_domains, model, grid, pump)
     setup = _SpectralSetup(grid, pump, model)
+    if sigma is None:
+        sigma = _solve_sigma(setup, zeta, n_domains)[0]
     random_rate = pair_rate(setup.density(
         RandomEnsembleSource(n_domains=n_domains, sigma=sigma))).pair_rate
     chirp_stack = structure.build_chirped(n_domains, setup.l0, zeta, np.pi / setup.l0)

@@ -31,17 +31,11 @@ class DomainStack:
 
     Attributes:
         boundaries: strictly increasing positions z_0..z_N in meters.
-        kind: one of 'periodic', 'random', 'chirped'.
-        sigma: Gaussian declination parameter (random stacks), meters.
-        zeta: chirp parameter (chirped stacks), 1/m^2.
         seed: RNG seed used for random stacks.
         rejected_draws: number of declination redraws forced by monotonicity.
     """
 
     boundaries: np.ndarray
-    kind: str
-    sigma: float = 0.0
-    zeta: float = 0.0
     seed: int | None = None
     rejected_draws: int = 0
 
@@ -82,7 +76,7 @@ def build_periodic(n_domains: int, l0: float) -> DomainStack:
     """Stack with z_n = n * l0 exactly."""
     _check_common(n_domains, l0)
     z = np.arange(n_domains + 1, dtype=float) * l0
-    return DomainStack(z, "periodic")
+    return DomainStack(z)
 
 
 def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainStack:
@@ -98,7 +92,7 @@ def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainSt
     if not sigma >= 0.0:
         raise StackConstructionError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return replace(build_periodic(n_domains, l0), kind="random", sigma=0.0, seed=seed)
+        return replace(build_periodic(n_domains, l0), seed=seed)
     rng = np.random.default_rng(seed)
     scale = sigma / np.sqrt(2.0)
     declinations = rng.normal(0.0, scale, n_domains)
@@ -111,7 +105,7 @@ def build_random(n_domains: int, l0: float, sigma: float, seed: int) -> DomainSt
     z = np.empty(n_domains + 1)
     z[0] = 0.0
     np.cumsum(l0 + declinations, out=z[1:])
-    return DomainStack(z, "random", sigma=sigma, seed=seed, rejected_draws=rejected)
+    return DomainStack(z, seed=seed, rejected_draws=rejected)
 
 
 def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> DomainStack:
@@ -135,4 +129,4 @@ def build_chirped(n_domains: int, l0: float, zeta: float, delta_k0: float) -> Do
             f"chirp zeta={zeta:g} makes boundary {first} non-increasing; "
             f"|zeta| must stay below ~{np.pi / (l0 ** 2 * max(n_domains - 1, 1)):.3e} 1/m^2"
         )
-    return DomainStack(z, "chirped", zeta=zeta)
+    return DomainStack(z)

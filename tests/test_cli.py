@@ -22,6 +22,7 @@ from poledspdc import (
     pair_rate,
     sigma_for_zeta,
     signal_spectrum,
+    spectra,
     spectral_density,
     symmetric_grid,
 )
@@ -230,6 +231,47 @@ class TestResolvedConfig:
         assert (tmp_path / "spectrum_config.ini").read_text().count("sigma_m = \n") == 1
 
 
+# Each command's ensembles on the FAST grid (fig1: two disorders x five domain counts).
+ENSEMBLES = {"spectrum": 0, "fig1": 10, "fig2": 0, "fig3": 1, "fig4": 1, "hom": 0, "sumfreq": 0,
+             "mc": 1}
+
+
+class TestOneSetUp:
+    @pytest.mark.parametrize("command", ENSEMBLES)
+    def test_one_mismatch_per_run_and_per_ensemble(self, tmp_path, monkeypatch, command):
+        # the command evaluates on its one set-up, and each ensemble builds one
+        # set-up that its realizations share
+        counts = {"mismatch_on_grid": 0, "run_ensemble": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(spectra, "mismatch_on_grid")
+        count(ensemble, "run_ensemble")
+        assert main([command, *FAST, "--outdir", str(tmp_path)]) == EXIT_OK
+        assert counts["run_ensemble"] == ENSEMBLES[command]
+        assert counts["mismatch_on_grid"] == 1 + counts["run_ensemble"]
+
+    @pytest.mark.parametrize("command", ENSEMBLES)
+    def test_base_l0_flag_is_byte_identical(self, tmp_path, capsys, command):
+        # the configured l0 set to the base value changes no output
+        assert main(["l0", "--json", "--outdir", str(tmp_path)]) == EXIT_OK
+        base_l0 = json.loads(capsys.readouterr().out)["l0_m"]
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert main([command, *FAST, "--outdir", str(plain)]) == EXIT_OK
+        assert main([command, *FAST, "--l0", repr(base_l0), "--outdir", str(flagged)]) == EXIT_OK
+        names = sorted(p.name for p in plain.glob("*.csv"))
+        assert names and names == sorted(p.name for p in flagged.glob("*.csv"))
+        for name in names:
+            assert (flagged / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 class TestSpectrumCommand:
     def test_writes_csv_sidecar_and_resolved_config(self, tmp_path):
         code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST])
@@ -297,6 +339,18 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST, *flag])
         assert code == EXIT_NUMERIC
         assert "l0 must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_exhausted_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              "(100000000000,) and data type float64")
+
+        monkeypatch.setattr(spectra, "symmetric_grid", exhausted)
+        code = main(["spectrum", "--outdir", str(tmp_path), "--kind", "periodic", *FAST])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: out of memory")
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("kelvin", ["nan", "inf", "0", "-5"])

@@ -13,6 +13,7 @@ from poledspdc import (
     convergence_report,
     run_ensemble,
     spectral_density,
+    spectra,
 )
 
 
@@ -138,6 +139,25 @@ class TestRunEnsemble:
                                  delays=delays, n_workers=w) for w in (1, 2))
         assert np.array_equal(one.mean, two.mean)
         assert np.array_equal(one.stderr, two.stderr)
+
+    @pytest.mark.parametrize("observable", ["spectrum", "pair_rate", "hom", "sumfreq"])
+    @pytest.mark.parametrize("n_realizations", [1, 7])
+    def test_one_mismatch_per_call(self, monkeypatch, model, pump, grid_small, l0,
+                                   observable, n_realizations):
+        # every realization evaluates on the one set-up the call builds, and
+        # workers sharing it reproduce the one-worker estimate
+        mismatch_on_grid, calls = spectra.mismatch_on_grid, []
+
+        def counting(*args):
+            calls.append(args)
+            return mismatch_on_grid(*args)
+
+        monkeypatch.setattr(spectra, "mismatch_on_grid", counting)
+        spec = EnsembleSpec(n_realizations, base_seed=3, n_domains=100, sigma=2e-6, l0=l0)
+        one, four = (run_ensemble(spec, observable, model=model, grid=grid_small, pump=pump,
+                                  n_workers=w) for w in (1, 4))
+        assert len(calls) == 2
+        assert np.array_equal(one.mean, four.mean)
 
     def test_rate_scaling_with_domain_count(self, model, pump, grid_small, l0, dk0):
         # mean pair rate grows linearly in the domain count

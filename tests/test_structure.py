@@ -33,7 +33,7 @@ class TestRandom:
         random = build_random(200, L0, 0.0, seed=9)
         periodic = build_periodic(200, L0)
         assert np.array_equal(random.boundaries, periodic.boundaries)
-        assert random.kind == "random"
+        assert random.seed == 9
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(StackConstructionError):
@@ -43,7 +43,7 @@ class TestRandom:
 
     def test_nan_boundary_rejected(self):
         with pytest.raises(StackConstructionError, match="index 1"):
-            DomainStack(np.array([0.0, np.nan, 2 * L0]), "random")
+            DomainStack(np.array([0.0, np.nan, 2 * L0]))
 
     def test_same_seed_bit_identical(self):
         a = build_random(500, L0, 2e-6, seed=123)
