@@ -204,17 +204,16 @@ def _emit(ctx: Context, name: str, tables: dict, meta: dict) -> None:
     write_resolved_config(ctx.config, ctx.outdir / f"{name}_config.ini")
 
 
-def _ensemble(ctx: Context, observable: str, sigma: float = None, n_domains: int = None,
-              n_realizations: int = None, **options) -> ensemble.EnsembleEstimate:
-    """Seeded ensemble over the configured base seed, worker count and grid;
-    sigma, n_domains and n_realizations default to the configured ones."""
+def _ensemble(ctx: Context, estimator, sigma: float = None, n_domains: int = None,
+              n_realizations: int = None) -> ensemble.EnsembleEstimate:
+    """Seeded ensemble of an estimator over the configured base seed and
+    worker count; sigma, n_domains and n_realizations default to the configured ones."""
     config = ctx.config
     spec = ensemble.EnsembleSpec(
         config.n_realizations if n_realizations is None else n_realizations, config.base_seed,
         config.n_domains if n_domains is None else n_domains,
         ctx.sigma if sigma is None else sigma, ctx.l0)
-    return ensemble.run_ensemble(spec, observable, model=ctx.model, grid=ctx.grid,
-                                 pump=ctx.pump, n_workers=config.threads, **options)
+    return ensemble.run_ensemble(spec, estimator, n_workers=config.threads)
 
 
 def _source(ctx: Context, kind: str = None):
@@ -286,25 +285,24 @@ def cmd_fig1(ctx: Context):
     if not all(v.is_integer() for v in scan):
         raise ValueError(f"n_domains scan entries must be integers, got {config.n_domains_scan!r}")
     n_scan = [int(v) for v in scan]
-    calibration = ctx.setup.calibration
+    rate = ensemble._make_estimator("pair_rate", ctx.setup, calibration=ctx.setup.calibration)
     columns = {"n_domains": np.asarray(n_scan, dtype=float)}
     meta = {"sigma_scan_m": ",".join(str(s) for s in SIGMA_SCAN_FIG1),
             "pump_power_w": config.pump_power_w,
             "base_seed": config.base_seed,
             "n_realizations": config.n_realizations,
-            "calibration_constant": calibration}
+            "calibration_constant": ctx.setup.calibration}
     for i, sigma in enumerate(SIGMA_SCAN_FIG1):
         rows = []
         for n_domains in n_scan:
-            source = spectra.RandomEnsembleSource(n_domains, sigma, ctx.l0)
-            rate = spectra.pair_rate(ctx.setup.density(source), calibration).pair_rate
+            analytic = rate(spectra.RandomEnsembleSource(n_domains, sigma, ctx.l0))
             if sigma == 0.0:
-                rows.append((rate, rate, 0.0))
+                rows.append((analytic, analytic, 0.0))
             elif config.mc:
-                est = _ensemble(ctx, "pair_rate", sigma, n_domains, calibration=calibration)
-                rows.append((rate, float(est.mean), float(est.stderr)))
+                est = _ensemble(ctx, rate, sigma, n_domains)
+                rows.append((analytic, float(est.mean), float(est.stderr)))
             else:
-                rows.append((rate, np.nan, np.nan))
+                rows.append((analytic, np.nan, np.nan))
         for prefix, values in zip(("rate_analytic", "rate_mc", "rate_mc_stderr"),
                                   np.asarray(rows).T):
             columns[f"{prefix}_sigma{i}"] = values
@@ -337,11 +335,12 @@ def cmd_fig3(ctx: Context):
                spectra.ChirpedSource(n_domains=ctx.config.n_domains,
                                      zeta=ctx.config.zeta_per_m2, l0=ctx.l0),
                _source(ctx, "ensemble"))
-    densities = [ctx.setup.density(s) for s in sources]
-    densities.append(spectra.Spectrum(ctx.grid, _ensemble(ctx, "spectrum").mean))
+    spectrum = ensemble._make_estimator("spectrum", ctx.setup)
+    densities = [spectrum(s) for s in sources] + [_ensemble(ctx, spectrum).mean]
     columns = {"wavelength_m": ctx.grid.wavelengths, "omega_rad_s": ctx.grid.omega}
     for name, density in zip(("s_realization", "s_chirped_envelope", "s_ensemble_analytic",
                               "s_ensemble_mc"), densities):
+        density = spectra.Spectrum(ctx.grid, density)
         columns[name] = spectra.signal_spectrum(density, normalize=True).values
     return {"": columns}, {**_disorder_meta(ctx), "normalization": "unit photon number"}
 
@@ -351,12 +350,11 @@ def cmd_fig4(ctx: Context):
     realization = _source(ctx, "random")
     chirp_stack = _source(ctx, "chirped")
 
-    delays = ctx.delays
-    hom_cols = {"tau_s": delays}
+    hom = ensemble._make_estimator("hom", ctx.setup, ctx.delays)
+    hom_cols = {"tau_s": ctx.delays}
     for label, source in (("realization", realization), ("chirped", chirp_stack),
                           ("ensemble", _source(ctx, "ensemble"))):
-        curve = ctx.setup.abs_f_sq(source)
-        hom_cols[f"rn_{label}"] = interference.hom_trace(curve, ctx.grid, ctx.pump, delays).rates
+        hom_cols[f"rn_{label}"] = hom(source)
 
     sum_cols = {"tau_s": interference.fft_delay_axis(ctx.grid)}
     for label, stack in (("realization", realization), ("chirped", chirp_stack)):
@@ -364,7 +362,8 @@ def cmd_fig4(ctx: Context):
         for mode in ("ideal", "quadratic"):
             trace = interference.sum_frequency_trace(interference.compensate_phase(amp, mode))
             sum_cols[f"isum_{label}_{mode}"] = trace.intensity
-    sum_cols["isum_ensemble_ideal"] = _ensemble(ctx, "sumfreq", compensation="ideal").mean
+    sumfreq = ensemble._make_estimator("sumfreq", ctx.setup, compensation="ideal")
+    sum_cols["isum_ensemble_ideal"] = _ensemble(ctx, sumfreq).mean
     return {"_hom": hom_cols, "_sumfreq": sum_cols}, _disorder_meta(ctx)
 
 
@@ -392,13 +391,14 @@ def cmd_mc(ctx: Context):
     config = ctx.config
     observable = config.observable
     calibration = ctx.setup.calibration if observable == "pair_rate" else None
-    options = {"delays": ctx.delays if observable == "hom" else None,
-               "compensation": config.compensation, "calibration": calibration}
-    est = _ensemble(ctx, observable, **options)
+    delays = ctx.delays if observable == "hom" else None
+    estimator = ensemble._make_estimator(observable, ctx.setup, delays, config.compensation,
+                                         calibration)
+    est = _ensemble(ctx, estimator)
     if observable == "pair_rate":
         axis = ("index", np.zeros(1))
     elif observable == "hom":
-        axis = ("tau_s", options["delays"])
+        axis = ("tau_s", delays)
     elif observable == "sumfreq":
         axis = ("tau_s", interference.fft_delay_axis(ctx.grid))
     else:
@@ -414,7 +414,7 @@ def cmd_mc(ctx: Context):
         # seeds are index-derived, so the M-realization run above is the first
         # nested estimate
         report = ensemble.convergence_report([est] + [
-            _ensemble(ctx, observable, n_realizations=k * config.n_realizations, **options)
+            _ensemble(ctx, estimator, n_realizations=k * config.n_realizations)
             for k in (2, 4)
         ])
         meta.update({"convergence_sizes": ",".join(str(s) for s in report.sizes),

@@ -79,30 +79,27 @@ def child_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _make_estimator(observable, model, grid, pump, delays, compensation, calibration):
-    if callable(observable):
-        return observable
+def _make_estimator(observable, setup, delays=None, compensation="ideal", calibration=None):
+    """A named observable of a stack or closed-form source on one set-up: its
+    density, pair rate (calibrated when given a calibration), HOM rates over
+    the delays, or sum-frequency intensity after compensation (stacks only)."""
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be callable or one of {OBSERVABLES}")
-    if model is None or grid is None or pump is None:
-        raise ValueError(f"observable {observable!r} needs model, grid and pump")
-
-    # One set-up serves every realization; its caches fill here, before any worker reads them.
-    setup = spectra._SpectralSetup(grid, pump, model)
+    # Workers share the set-up; its caches fill here, before any worker reads them.
     setup.mismatch, setup.weight
     if observable == "spectrum":
-        def estimator(stack):
-            return setup.density(stack).values
+        def estimator(source):
+            return setup.density(source).values
     elif observable == "pair_rate":
-        def estimator(stack):
-            return spectra.pair_rate(setup.density(stack), calibration).pair_rate
+        def estimator(source):
+            return spectra.pair_rate(setup.density(source), calibration).pair_rate
     elif observable == "hom":
-        def estimator(stack):
-            curve = setup.abs_f_sq(stack)
-            return interference.hom_trace(curve, grid, pump, delays).rates
+        def estimator(source):
+            curve = setup.abs_f_sq(source)
+            return interference.hom_trace(curve, setup.grid, setup.pump, delays).rates
     else:  # sumfreq
-        def estimator(stack):
-            amp = interference._amplitude(setup, stack)
+        def estimator(source):
+            amp = interference._amplitude(setup, source)
             comp = interference.compensate_phase(amp, compensation)
             return interference.sum_frequency_trace(comp, delays=delays).intensity
     return estimator
@@ -120,11 +117,16 @@ def run_ensemble(spec: EnsembleSpec, observable, *,
     stderr, independent of worker count and scheduling.
 
     observable is 'spectrum', 'pair_rate', 'hom', 'sumfreq' (each needs
-    model, grid and pump), or any callable mapping a DomainStack to a scalar
-    or fixed-shape array.
+    model, grid and pump, and evaluates on one set-up built from them), or
+    any callable mapping a DomainStack to a scalar or fixed-shape array.
     """
-    estimator = _make_estimator(observable, model, grid, pump, delays,
-                                compensation, calibration)
+    if callable(observable):
+        estimator = observable
+    elif observable in OBSERVABLES and (model is None or grid is None or pump is None):
+        raise ValueError(f"observable {observable!r} needs model, grid and pump")
+    else:
+        estimator = _make_estimator(observable, spectra._SpectralSetup(grid, pump, model),
+                                    delays, compensation, calibration)
 
     def one(index):
         seed = child_seed(spec.base_seed, index)

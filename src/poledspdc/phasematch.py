@@ -306,7 +306,9 @@ def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_
     detuning (the Fresnel transient of the erf terms).  This helper evaluates
     |f_chirped|^2 on an internal uniform detuning grid and applies a boxcar
     of 8 ripple periods, capped at a quarter of the swept band, yielding the
-    smooth spectral envelope used for width measurements.
+    smooth spectral envelope used for width measurements.  As zeta' -> 0 the
+    boxcar shrinks to one tap, the identity, once the band edge
+    zeta' dk0 N l0 lies within a quarter ripple.
     Returns |F|^2 (m^2) at the requested mismatch.
     """
     dk0 = float(mismatch.delta_k0)
@@ -321,7 +323,7 @@ def f_chirped_envelope(mismatch: PhaseMismatch, n_domains: int, l0: float, zeta_
     # keep the internal grid in the dk > 0 domain of the closed form
     grid = grid[grid > -0.9 * dk0]
     raw = f_chirped(mismatch_from_detuning(dk0, grid), n_domains, l0, zeta_prime).abs_sq
-    n_ker = max(3, int(round(width / step)) | 1)
+    n_ker = int(round(width / step)) | 1
     kernel = np.ones(n_ker) / n_ker
     smooth = np.convolve(raw, kernel, mode="same")
     out = np.interp(small, grid, smooth)

@@ -219,8 +219,8 @@ class _SpectralSetup:
 
     @cached_property
     def calibration(self) -> float:
-        stack = structure.build_periodic(REFERENCE_N_DOMAINS, self.l0)
-        raw = pair_rate(self.density(stack)).pair_rate
+        # the periodic reference is the sigma = 0 limit of the ensemble's closed form
+        raw = pair_rate(self.density(RandomEnsembleSource(REFERENCE_N_DOMAINS, 0.0))).pair_rate
         if raw <= 0.0:
             raise ValueError("reference configuration produced a zero raw rate")
         return REFERENCE_PAIR_RATE / raw
@@ -234,9 +234,8 @@ class _SpectralSetup:
         l0 = self.l0 if source.l0 is None else source.l0
         if isinstance(source, RandomEnsembleSource):
             return phasematch.f_avg_sq(mismatch, source.n_domains, l0, source.sigma)
-        if source.zeta == 0.0:
-            stack = structure.build_periodic(source.n_domains, l0)
-            return phasematch.f_exact(stack, mismatch).abs_sq
+        if source.zeta == 0.0:   # periodic: the ensemble's sigma = 0 limit
+            return phasematch.f_avg_sq(mismatch, source.n_domains, l0, 0.0)
         zeta_prime = source.zeta / mismatch.delta_k0
         if source.envelope:
             return phasematch.f_chirped_envelope(mismatch, source.n_domains, l0, zeta_prime)
@@ -324,9 +323,9 @@ def pair_rate(density: Spectrum, calibration: float = None) -> RateReport:
 
 
 def calibrate(model: DispersionModel, grid: SpectralGrid, pump: PumpSpec) -> float:
-    """Fix the global constant so the periodic reference stack of
-    REFERENCE_N_DOMAINS domains reproduces REFERENCE_PAIR_RATE at the pump;
-    evaluated on a fresh set-up."""
+    """Fix the global constant so the periodic reference of
+    REFERENCE_N_DOMAINS domains, the sigma = 0 closed form, reproduces
+    REFERENCE_PAIR_RATE at the pump; evaluated on a fresh set-up."""
     return _SpectralSetup(grid, pump, model).calibration
 
 
@@ -365,10 +364,10 @@ def sigma_for_zeta(zeta: float, n_domains: int, model: DispersionModel,
     clears the periodic main lobe (zeta (N l0)^2 large), to within 5% at
     N = 2000 and zeta >= 2e5 m^-2.
 
-    Solver.  The first bracket runs from sigma* / 1.25 to 1.25 sigma*
-    (from the bottom of SIGMA_BRACKET when zeta <= 0).  While it misses the
-    target it moves towards it, reusing its inner end and doubling its
-    width, never beyond SIGMA_BRACKET.  Brent's method then solves
+    Solver.  The first bracket runs from sigma* / 1.25 to 1.25 sigma*,
+    sigma* clipped to SIGMA_BRACKET (its bottom when zeta <= 0).  While it
+    misses the target it moves towards it, reusing its inner end and
+    doubling its width, never beyond SIGMA_BRACKET.  Brent's method then solves
     log(width(sigma) / target) = 0 in log sigma to within rtol / 2; the
     ensemble width is close to linear in sigma, so the widths then match
     within rtol.  One fresh spectral set-up serves the target and every
@@ -386,11 +385,8 @@ def _solve_sigma(setup, zeta, n_domains, rtol=1e-3, l0=None) -> tuple:
     widths = {}
     args = (setup, n_domains, l0, target, widths)
     bottom, top = np.log(SIGMA_BRACKET)
-    if zeta > 0.0:
-        seed = np.log(2.0 * l0 ** 2 * np.sqrt(zeta * n_domains) / np.pi)
-    else:
-        seed = bottom
-    seed = min(max(seed, bottom), top)
+    seed = np.log(np.clip(2.0 * l0 ** 2 * np.sqrt(max(zeta, 0.0) * n_domains) / np.pi,
+                          *SIGMA_BRACKET))
     lo, hi = max(seed - _SEED_SPREAD, bottom), min(seed + _SEED_SPREAD, top)
     while _ensemble_log_width_ratio(lo, *args) > 0.0 and lo > bottom:
         lo, hi = max(lo - 2.0 * (hi - lo), bottom), lo

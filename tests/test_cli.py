@@ -239,8 +239,7 @@ ENSEMBLES = {"spectrum": 0, "fig1": 10, "fig2": 0, "fig3": 1, "fig4": 1, "hom": 
 class TestOneSetUp:
     @pytest.mark.parametrize("command", ENSEMBLES)
     def test_one_mismatch_per_run_and_per_ensemble(self, tmp_path, monkeypatch, command):
-        # the command evaluates on its one set-up, and each ensemble builds one
-        # set-up that its realizations share
+        # the command evaluates on its one set-up, and its ensembles share it
         counts = {"mismatch_on_grid": 0, "run_ensemble": 0}
 
         def count(module, name):
@@ -256,7 +255,7 @@ class TestOneSetUp:
         count(ensemble, "run_ensemble")
         assert main([command, *FAST, "--outdir", str(tmp_path)]) == EXIT_OK
         assert counts["run_ensemble"] == ENSEMBLES[command]
-        assert counts["mismatch_on_grid"] == 1 + counts["run_ensemble"]
+        assert counts["mismatch_on_grid"] == 1
 
     @pytest.mark.parametrize("command", ENSEMBLES)
     def test_base_l0_flag_is_byte_identical(self, tmp_path, capsys, command):
@@ -388,6 +387,14 @@ class TestFig1:
             periodic = pair_rate(spectral_density(grid, pump, model, build_periodic(n, l0)),
                                  calibration).pair_rate
             assert rate == pytest.approx(periodic, rel=1e-9)
+
+    def test_reference_rate_is_exact(self, tmp_path):
+        # the calibration and the sigma = 0 column evaluate the same closed form
+        code = main(["fig1", "--outdir", str(tmp_path), "--n-samples", "2048",
+                     "--n-domains-scan", "2000", "--no-mc"])
+        assert code == EXIT_OK
+        _, columns = read_csv(tmp_path / "fig1.csv")
+        assert columns["rate_analytic_sigma0"][0] == pytest.approx(2e7, rel=1e-15)
 
     def test_empty_scan_is_config_error(self, tmp_path, capsys):
         code = main(["fig1", "--outdir", str(tmp_path), "--n-domains-scan", ","])

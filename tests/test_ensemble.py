@@ -6,15 +6,20 @@ import pytest
 from poledspdc import (
     EnsembleEstimate,
     EnsembleSpec,
+    PhaseUnavailableError,
     RandomEnsembleSource,
     RealizationError,
     build_periodic,
     child_seed,
     convergence_report,
+    hom_trace,
+    mean_abs_f_sq,
+    pair_rate,
     run_ensemble,
     spectral_density,
     spectra,
 )
+from poledspdc.ensemble import _make_estimator
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +163,28 @@ class TestRunEnsemble:
                                   n_workers=w) for w in (1, 4))
         assert len(calls) == 2
         assert np.array_equal(one.mean, four.mean)
+
+    @pytest.mark.parametrize("observable", ["spectrum", "pair_rate", "hom"])
+    def test_estimator_of_a_closed_form_source(self, model, pump, grid_small, observable):
+        # the estimator the ensembles use evaluates the closed form bit for bit
+        # like the public functions
+        source = RandomEnsembleSource(n_domains=400, sigma=2e-6)
+        setup = spectra._SpectralSetup(grid_small, pump, model)
+        got = _make_estimator(observable, setup, calibration=3.0)(source)
+        if observable == "spectrum":
+            expected = spectral_density(grid_small, pump, model, source).values
+        elif observable == "pair_rate":
+            expected = pair_rate(spectral_density(grid_small, pump, model, source), 3.0).pair_rate
+        else:
+            expected = hom_trace(mean_abs_f_sq(grid_small, pump, model, source),
+                                 grid_small, pump).rates
+        assert np.array_equal(got, expected)
+
+    def test_sumfreq_estimator_needs_a_stack(self, model, pump, grid_small):
+        setup = spectra._SpectralSetup(grid_small, pump, model)
+        estimator = _make_estimator("sumfreq", setup)
+        with pytest.raises(PhaseUnavailableError):
+            estimator(RandomEnsembleSource(n_domains=400, sigma=2e-6))
 
     def test_rate_scaling_with_domain_count(self, model, pump, grid_small, l0, dk0):
         # mean pair rate grows linearly in the domain count

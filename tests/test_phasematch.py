@@ -404,6 +404,18 @@ class TestFChirped:
         value = f_chirped(mm, n, l0, zeta / mm.delta_k0).value
         assert np.all(np.isfinite(value))
 
+    @pytest.mark.parametrize("n", [250, 2000])
+    @pytest.mark.parametrize("zeta", [1e1, 1e2, 1e3])
+    def test_envelope_tends_to_the_periodic_stack(self, grid_mid, grid_mismatch, l0, zeta, n):
+        # as the chirp vanishes the boxcar shrinks to the identity, so the
+        # envelope keeps the periodic main lobe's area and peak
+        mm = grid_mismatch[12]
+        envelope = f_chirped_envelope(mm, n, l0, zeta / mm.delta_k0)
+        periodic = f_exact(build_periodic(n, l0), mm).abs_sq
+        area = np.trapezoid(envelope, grid_mid.omega) / np.trapezoid(periodic, grid_mid.omega)
+        assert area == pytest.approx(1.0, abs=0.01)
+        assert envelope.max() / periodic.max() == pytest.approx(1.0, abs=0.015)
+
     def test_requires_positive_chirp_and_mismatch(self):
         with pytest.raises(NumericalDomainError):
             f_chirped(at_detuning(0.0), 100, L0, 0.0)
